@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -35,8 +37,33 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def stop_children() -> None:
+    """Stop every process this run started and wait for each to end.
+
+    The worker pools are closed by the workloads; this catches what a
+    failed run left behind, then stops the shared-memory resource
+    tracker, which multiprocessing otherwise leaves to exit on its own
+    after this process has gone.
+    """
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+    for child in children:
+        child.join(5.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    try:
+        return run(parse_args(argv))
+    finally:
+        stop_children()
+
+
+def run(args) -> int:
     if not (SRC / "repro").is_dir():
         print(f"perfbench: the program's sources ({SRC}) are missing", file=sys.stderr)
         return 2

@@ -96,7 +96,7 @@ WORKLOADS: Dict[str, Workload] = {
             decaying=True,
             setups=3,
             workers=2,
-            rate=70.0,
+            rate=50.0,
             check_every=1,
         ),
     )
