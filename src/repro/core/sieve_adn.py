@@ -144,34 +144,50 @@ class SieveADN:
         # sweep is issued as one batched oracle call group so the CSR
         # backend amortizes a single snapshot build across the whole
         # candidate batch (call counts are identical to per-node spreads).
-        singletons = self.oracle.spread_many(
-            [(node,) for node in candidates], self.min_expiry
-        )
-        singleton_values = {}
-        for node, singleton in zip(candidates, singletons):
-            singleton_values[node] = singleton
-            self.thresholds.update_delta(singleton)
+        spread_many = self.oracle.spread_many
+        min_expiry = self.min_expiry
+        singletons = spread_many([(node,) for node in candidates], min_expiry)
+        update_delta = self.thresholds.update_delta
+        for singleton in singletons:
+            update_delta(singleton)
         # Lines 8-11: sieve each candidate against each threshold.  By
         # submodularity the marginal gain of ``node`` w.r.t. any set is at
         # most its singleton value, so thresholds above it can never be
-        # cleared: since items() yields thresholds in increasing order we
-        # stop there without spending oracle calls.  This pruning is what
-        # keeps the per-batch call count at the paper's reported scale.
-        for node in candidates:
-            upper_bound = singleton_values[node]
-            for threshold, sieve in self.thresholds.items():
+        # cleared: since items() is in increasing threshold order we stop
+        # there without spending oracle calls.  This pruning is what keeps
+        # the per-batch call count at the paper's reported scale.
+        #
+        # A candidate's whole row — every threshold it may clear, whose set
+        # is not full and lacks it — is evaluated in one oracle call over
+        # the ``(S_theta, S_theta + node)`` pairs.  That is exact: the sets
+        # are independent (accepting ``node`` into one changes no other),
+        # and ``spread_many`` replays the sequential cache protocol, so
+        # values, call counts and memo order match a pair-by-pair loop.
+        order = self.thresholds.items()
+        k = self.k
+        for node, upper_bound in zip(candidates, singletons):
+            row = []
+            pairs = []
+            for threshold, sieve in order:
                 if threshold > upper_bound:
                     break
-                if len(sieve) >= self.k or node in sieve:
+                key = sieve.key
+                if len(key) >= k or node in key:
                     continue
-                base, with_node = self.oracle.spread_many(
-                    (tuple(sieve.nodes), tuple(sieve.nodes) + (node,)),
-                    self.min_expiry,
-                )
-                sieve.cached_value = float(base)
+                row.append((threshold, sieve))
+                pairs.append(key)
+                pairs.append(key | {node})
+            if not row:
+                continue
+            values = spread_many(pairs, min_expiry)
+            for i, (threshold, sieve) in enumerate(row):
+                base = values[2 * i]
+                with_node = values[2 * i + 1]
                 if with_node - base >= threshold:
                     sieve.add(node)
                     sieve.cached_value = float(with_node)
+                else:
+                    sieve.cached_value = float(base)
 
     # ------------------------------------------------------------------
     def query(self) -> Solution:
@@ -181,7 +197,7 @@ class SieveADN:
         for sieve in self.thresholds.sets():
             if not sieve.nodes:
                 continue
-            value = self.oracle.spread(tuple(sieve.nodes), self.min_expiry)
+            value = self.oracle.spread(sieve.key, self.min_expiry)
             if value > best_value:
                 best_value = value
                 best_nodes = list(sieve.nodes)

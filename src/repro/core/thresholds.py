@@ -20,7 +20,16 @@ threshold.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterator, List, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Tuple,
+)
 
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -34,9 +43,12 @@ _EXPONENT_TOLERANCE = 1e-9
 class SieveSet:
     """One candidate set ``S_theta``: at most ``k`` nodes kept per threshold.
 
-    Keeps both insertion order (solutions are reported in selection order)
-    and a membership set for O(1) duplicate checks — the paper's node stream
-    may present the same node many times.
+    Keeps insertion order (solutions are reported in selection order) and
+    the frozen member set ``key``, which serves both the O(1) duplicate
+    check — the paper's node stream may present the same node many times
+    — and the oracle's memo key for ``f(S_theta)``.  The key is rebuilt on
+    :meth:`add` (at most ``k`` times per set) and shared by :meth:`copy`,
+    so the sieve loop never freezes a set per evaluation.
 
     ``cached_value`` remembers the most recent real evaluation of
     ``f(S_theta)``.  On an addition-only view the objective of a fixed set
@@ -46,30 +58,39 @@ class SieveSet:
     ``gamma`` factor.
     """
 
-    __slots__ = ("nodes", "cached_value", "_members")
+    __slots__ = ("nodes", "cached_value", "key")
 
     def __init__(self) -> None:
         self.nodes: List[Node] = []
         self.cached_value: float = 0.0
-        self._members: set = set()
+        self.key: FrozenSet[Node] = frozenset()
+
+    @classmethod
+    def restore(cls, nodes: Iterable[Node], cached_value: float) -> "SieveSet":
+        """Rebuild a set from its selection-ordered nodes (checkpoints)."""
+        sieve = cls()
+        for node in nodes:
+            sieve.add(node)
+        sieve.cached_value = cached_value
+        return sieve
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __contains__(self, node: Node) -> bool:
-        return node in self._members
+        return node in self.key
 
     def add(self, node: Node) -> None:
-        if node in self._members:
+        if node in self.key:
             raise ValueError(f"node {node!r} already in sieve set")
         self.nodes.append(node)
-        self._members.add(node)
+        self.key = self.key | {node}
 
     def copy(self) -> "SieveSet":
         dup = SieveSet()
         dup.nodes = list(self.nodes)
         dup.cached_value = self.cached_value
-        dup._members = set(self._members)
+        dup.key = self.key
         return dup
 
 
@@ -83,6 +104,9 @@ class ThresholdSet:
 
     The object maps exponents to :class:`SieveSet` instances and re-windows
     itself whenever :meth:`update_delta` observes a larger singleton value.
+    The ascending ``(threshold, sieve)`` order the sieve loop walks is
+    computed at each re-window and served by :meth:`items` as is, so a
+    candidate never pays for a sort or a ``pow``.
     """
 
     def __init__(self, k: int, epsilon: float) -> None:
@@ -91,6 +115,30 @@ class ThresholdSet:
         self.delta = 0.0
         self._log_base = math.log1p(self.epsilon)
         self._sieves: Dict[int, SieveSet] = {}
+        self._order: Tuple[Tuple[float, SieveSet], ...] = ()
+
+    @classmethod
+    def restore(
+        cls, k: int, epsilon: float, delta: float, sieves: Mapping[int, SieveSet]
+    ) -> "ThresholdSet":
+        """Rebuild a grid from its exponent -> set map (checkpoints).
+
+        ``sieves`` keeps its iteration order, which :meth:`sets` (and so
+        the tie-break of a query) follows.
+        """
+        grid = cls(k, epsilon)
+        grid.delta = float(delta)
+        grid._sieves = dict(sieves)
+        grid._reorder()
+        return grid
+
+    def _reorder(self) -> None:
+        """Recompute the ascending ``(threshold, sieve)`` order."""
+        sieves = self._sieves
+        self._order = tuple(
+            (self.threshold_value(exponent), sieves[exponent])
+            for exponent in sorted(sieves)
+        )
 
     # ------------------------------------------------------------------
     def _window(self, delta: float) -> Tuple[int, int]:
@@ -119,22 +167,33 @@ class ThresholdSet:
             return False
         self.delta = float(value)
         lo, hi = self._window(self.delta)
-        for exponent in [e for e in self._sieves if e < lo or e > hi]:
-            del self._sieves[exponent]
-        for exponent in range(lo, hi + 1):
-            if exponent not in self._sieves:
-                self._sieves[exponent] = SieveSet()
+        sieves = self._sieves
+        stale = [e for e in sieves if e < lo or e > hi]
+        for exponent in stale:
+            del sieves[exponent]
+        fresh = [e for e in range(lo, hi + 1) if e not in sieves]
+        for exponent in fresh:
+            sieves[exponent] = SieveSet()
+        if stale or fresh:
+            self._reorder()
         return True
 
     # ------------------------------------------------------------------
-    def items(self) -> Iterator[Tuple[float, SieveSet]]:
-        """Iterate ``(threshold, sieve_set)`` in increasing threshold order."""
-        for exponent in sorted(self._sieves):
-            yield self.threshold_value(exponent), self._sieves[exponent]
+    def items(self) -> Tuple[Tuple[float, SieveSet], ...]:
+        """The ``(threshold, sieve_set)`` pairs in increasing threshold order.
+
+        The order cached at the last re-window, returned as is (a tuple,
+        so no caller can disturb it).
+        """
+        return self._order
 
     def sets(self) -> Iterator[SieveSet]:
         """Iterate the sieve sets (unordered use-cases: querying the max)."""
         return iter(self._sieves.values())
+
+    def by_exponent(self) -> Iterator[Tuple[int, SieveSet]]:
+        """Iterate ``(exponent, sieve_set)`` in :meth:`sets` order."""
+        return iter(self._sieves.items())
 
     def __len__(self) -> int:
         return len(self._sieves)
@@ -148,7 +207,12 @@ class ThresholdSet:
         """Deep-copy the grid (used when HISTAPPROX clones an instance)."""
         dup = ThresholdSet(self.k, self.epsilon)
         dup.delta = self.delta
-        dup._sieves = {e: s.copy() for e, s in self._sieves.items()}
+        dup._sieves = copies = {e: s.copy() for e, s in self._sieves.items()}
+        # Same exponents, so the same thresholds in the same order.
+        dup._order = tuple(
+            (threshold, copies[exponent])
+            for exponent, (threshold, _) in zip(sorted(copies), self._order)
+        )
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

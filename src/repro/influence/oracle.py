@@ -168,18 +168,21 @@ def replay_batch_protocol(
     and fulfill the reservations.  Values, call counts and eviction order
     are exactly those of ``[spread(s) for s in sets]``.
 
-    Every set is frozen *before* the first cache mutation: a bad input
-    (unhashable member, exhausted iterator) must raise while the memo
-    still holds no ``_PENDING`` reservation to leak, and reservations are
-    likewise rolled back when ``evaluate`` itself raises.
+    Every set is frozen *before* the first cache mutation (a frozenset,
+    such as a sieve's key, is taken as it is): a bad input (unhashable
+    member, exhausted iterator) must raise while the memo still holds no
+    ``_PENDING`` reservation to leak, and reservations are likewise
+    rolled back when ``evaluate`` itself raises.
 
     ``semantics`` is an optional hashable token appended to every cache
     key (``None`` keeps the historical two-element key), so oracles
     evaluating different fold semantics over one shared graph keep fully
     disjoint memo populations.
     """
-    frozen_sets = [frozenset(nodes) for nodes in sets]
-    results: list = [None] * len(sets)
+    frozen_sets = [
+        nodes if type(nodes) is frozenset else frozenset(nodes) for nodes in sets
+    ]
+    results: list = [None] * len(frozen_sets)
     miss_keys: list = []  # first-miss order, mirrors sequential
     miss_sets: list = []
     slot_of: dict = {}
@@ -188,6 +191,8 @@ def replay_batch_protocol(
     # the replay loop — the registry lock must not be taken per set.
     hits = 0
     misses = 0
+    lookup = memo.data.get
+    reserve = memo.put
     for i, key_nodes in enumerate(frozen_sets):
         if not key_nodes:
             results[i] = zero
@@ -197,7 +202,7 @@ def replay_batch_protocol(
             if semantics is None
             else (min_expiry, key_nodes, semantics)
         )
-        hit = memo.get(key)
+        hit = lookup(key)
         if hit is _PENDING:
             # Duplicate of an in-batch miss: a sequential run would hit
             # the (by then populated) cache entry — no call counted.
@@ -208,7 +213,6 @@ def replay_batch_protocol(
             results[i] = hit
             hits += 1
             continue
-        counter.increment()
         misses += 1
         slot = slot_of.get(key)
         if slot is None:
@@ -220,11 +224,12 @@ def replay_batch_protocol(
         # would have inserted the computed value (a re-counted miss —
         # its reservation evicted mid-batch — re-inserts, as it would
         # sequentially).
-        memo.put(key, _PENDING)
+        reserve(key, _PENDING)
         placements.append((i, slot))
     if hits:
         _MEMO_HITS.inc(hits)
     if misses:
+        counter.increment(misses)
         _MEMO_MISSES.inc(misses)
     if miss_sets:
         try:
@@ -366,7 +371,11 @@ class MemoTable:
         data[key] = value
         index = self._index
         for node in key[1]:
-            index.setdefault(node, set()).add(key)
+            keys = index.get(node)
+            if keys is None:
+                index[node] = {key}
+            else:
+                keys.add(key)
 
     def fulfill(self, key: _CacheKey, value) -> None:
         """Replace a reserved ``_PENDING`` placeholder with its value.
@@ -714,7 +723,7 @@ class InfluenceOracle:
             if token is None
             else (min_expiry, key_nodes, token)
         )
-        hit = self._memo.get(key)
+        hit = self._memo.data.get(key)
         if hit is not None and hit is not _PENDING:
             _MEMO_HITS.inc()
             return hit
@@ -750,8 +759,9 @@ class InfluenceOracle:
         id_sets: List[List[int]] = []
         unknowns: List[int] = []
         pending: List[int] = []
+        intern_ids = graph.intern_ids
         for j, key_nodes in enumerate(key_sets):
-            ids, unknown = graph.intern_ids(key_nodes)
+            ids, unknown = intern_ids(key_nodes)
             if ids:
                 pending.append(j)
                 id_sets.append(ids)

@@ -88,6 +88,10 @@ __all__ = [
 #: Seed sets packed per bit-plane traversal (uint64 mask width).
 PLANE_WIDTH = 64
 
+#: The horizon the scalar walk substitutes for ``eff=None``: every entry
+#: passes ``expiry >= -inf``.
+_NO_HORIZON = float("-inf")
+
 
 class SweepSampler(Protocol):
     """The kernel's only observability seam (see RPL501).
@@ -376,7 +380,19 @@ class TraversalKernel:
         """Plain-Python traversal (small-graph path; forced by tests and
         the calibration probe)."""
         indptr, indices, expiries = self._scalar_view()
+        # Resolved once per walk, not per popped node or slot: the overlay
+        # lookup (a DictOverlay's map read directly, any other overlay
+        # through its ``entries`` protocol) and the horizon (``None``
+        # admits every entry, exactly like a horizon of -inf).
         overlay = self.overlay
+        if overlay is None:
+            overlay_entries = None
+        elif type(overlay) is DictOverlay:
+            overlay_entries = overlay.entry_map.get
+        else:
+            overlay_entries = overlay.entries
+        if eff is None:
+            eff = _NO_HORIZON
         base_nodes = len(indptr) - 1
         num_nodes = self.num_nodes
         visited: Set[int] = set()
@@ -391,19 +407,17 @@ class TraversalKernel:
             node_id = stack.pop()
             if node_id < base_nodes:
                 for slot in range(indptr[node_id], indptr[node_id + 1]):
-                    if eff is not None and expiries[slot] < eff:
+                    if expiries[slot] < eff:
                         continue
                     successor = indices[slot]
                     if successor not in visited:
                         visited.add(successor)
                         stack.append(successor)
-            if overlay is not None:
-                entries = overlay.entries(node_id)
+            if overlay_entries is not None:
+                entries = overlay_entries(node_id)
                 if entries:
                     for successor, expiry in entries:
-                        if (eff is None or expiry >= eff) and (
-                            successor not in visited
-                        ):
+                        if expiry >= eff and successor not in visited:
                             visited.add(successor)
                             stack.append(successor)
         sampler = _SWEEP_SAMPLER

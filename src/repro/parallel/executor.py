@@ -292,6 +292,8 @@ class ShardedOracleExecutor:
         self._published_graph: Optional[weakref.ref] = None
         self._published_version: Optional[int] = None
         self._request_seq = 0
+        # Worker slots spawned but not yet announced ready (_await_ready).
+        self._unready: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Health surface
@@ -383,6 +385,7 @@ class ShardedOracleExecutor:
             def spawn(index: int) -> Any:
                 # Queues are read at spawn time, not captured: the
                 # supervisor's reset hook replaces them on pool recycle.
+                self._unready.add(index)
                 proc = ctx.Process(
                     target=worker_mod.worker_main,
                     args=(
@@ -453,6 +456,39 @@ class ShardedOracleExecutor:
         self._result_queue = self._ctx.Queue()
         if self._supervisor is not None:
             self._arm_finalizer()
+
+    def _await_ready(self) -> None:
+        """Hold dispatch until every freshly spawned worker is serving.
+
+        All workers read one shared task queue, so a task goes to
+        whichever worker reads first.  A request sent while a worker is
+        still starting (interpreter boot and imports under ``spawn``) is
+        drained by the siblings already up, and the late worker may get
+        no task for many requests: the pool silently runs narrower than
+        configured, and a fault plan aimed at that worker never fires.
+        Each worker announces itself just before its serve loop; this
+        waits for the announcements, for at most ``result_timeout``, and
+        stops waiting for a worker that died meanwhile (the dispatch
+        loop's liveness check handles the death).
+        """
+        pending = self._unready
+        supervisor = self._supervisor
+        deadline = time.monotonic() + self.result_timeout
+        while pending and supervisor is not None:
+            try:
+                _, _, (status, value) = self._result_queue.get(
+                    timeout=_POLL_INTERVAL
+                )
+            except queue_mod.Empty:
+                pending.difference_update(supervisor.dead_workers())
+                if time.monotonic() > deadline:
+                    break
+                continue
+            if status == "ready":
+                pending.discard(value)
+            elif status == "metrics":
+                metrics_registry().merge_counter_deltas(value)
+        pending.clear()
 
     def _attempt_recovery(self) -> bool:
         """Try to return a DEGRADED executor to SHARDED."""
@@ -575,6 +611,8 @@ class ShardedOracleExecutor:
         """
         assert self._supervisor is not None and self._plane is not None
         supervisor = self._supervisor
+        if self._unready:
+            self._await_ready()
         self._request_seq += 1
         request_id = self._request_seq
         generation = self._plane.generation
@@ -697,8 +735,10 @@ class ShardedOracleExecutor:
                     )
                     # The pool was recycled onto fresh queues: every
                     # outstanding task (and any in-flight result) lived
-                    # on the old set, so re-enqueue the lot.
+                    # on the old set, so re-enqueue the lot once the
+                    # fresh workers are serving.
                     claimed.clear()
+                    self._await_ready()
                     for index in sorted(outstanding):
                         enqueue(index)
                     global_deadline = time.monotonic() + self.result_timeout

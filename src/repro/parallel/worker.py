@@ -52,6 +52,11 @@ OP_FSPREAD = "fspread"
 OP_PING = "ping"
 OP_STOP = "stop"
 
+#: Request id of the ``("ready", worker_index)`` announcement a worker
+#: sends once before serving.  Owner request ids start at 1, so a
+#: dispatch loop drops a late announcement as a stale result.
+READY_REQUEST_ID = 0
+
 
 def worker_main(
     task_queue: Any,
@@ -71,7 +76,9 @@ def worker_main(
             wire form; for the other sweeps it is the id list(s) directly.
         result_queue: queue of ``(request_id, shard_index, outcome)``
             tuples where ``outcome`` is ``("started", worker_index)``
-            (claim ack), ``("ok", value)`` or ``("error", message)``.
+            (claim ack), ``("ok", value)`` or ``("error", message)``;
+            first of all, ``("ready", worker_index)`` under
+            :data:`READY_REQUEST_ID` once the worker is about to serve.
         prefix: the shared plane's segment-name prefix.
         worker_index: this worker's stable slot in the pool (respawns
             reuse the slot).
@@ -134,6 +141,7 @@ def worker_main(
             weight_maps[key] = cached = attach_weights(name, length)
         return cached.weights
 
+    result_queue.put((READY_REQUEST_ID, worker_index, ("ready", worker_index)))
     while True:
         task = task_queue.get()
         op = task[0]

@@ -182,21 +182,23 @@ def _thresholds_to_dict(grid: ThresholdSet) -> Dict:
                 "nodes": list(sieve.nodes),
                 "cached_value": sieve.cached_value,
             }
-            for exponent, sieve in grid._sieves.items()  # noqa: SLF001
+            for exponent, sieve in grid.by_exponent()
         },
     }
 
 
 def _thresholds_from_dict(payload: Dict) -> ThresholdSet:
-    grid = ThresholdSet(payload["k"], payload["epsilon"])
-    grid.delta = payload["delta"]
-    for exponent_str, sieve_payload in payload["sieves"].items():
-        sieve = SieveSet()
-        for node in sieve_payload["nodes"]:
-            sieve.add(node)
-        sieve.cached_value = sieve_payload["cached_value"]
-        grid._sieves[int(exponent_str)] = sieve  # noqa: SLF001
-    return grid
+    return ThresholdSet.restore(
+        payload["k"],
+        payload["epsilon"],
+        payload["delta"],
+        {
+            int(exponent_str): SieveSet.restore(
+                sieve_payload["nodes"], sieve_payload["cached_value"]
+            )
+            for exponent_str, sieve_payload in payload["sieves"].items()
+        },
+    )
 
 
 def sieve_adn_to_dict(sieve: SieveADN, include_oracle: bool = True) -> Dict:

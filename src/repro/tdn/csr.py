@@ -437,6 +437,8 @@ class DeltaCSR:
         "_rev",
         "compactions",
         "version",
+        "_limit",
+        "_limit_version",
     )
 
     def __init__(
@@ -453,6 +455,8 @@ class DeltaCSR:
         self.scalar_pair_limit = scalar_pair_limit
         self.backend = resolve_backend(backend)
         self.compactions = 0
+        self._limit = 0
+        self._limit_version: Optional[int] = None
         self._fwd: Optional[TraversalKernel] = None
         self._rev: Optional[TraversalKernel] = None
         self._compact()
@@ -521,8 +525,20 @@ class DeltaCSR:
             self.version = graph.version
 
     def _scalar_limit(self) -> int:
-        """The cutover in force *now* (class knob re-checked per query)."""
-        return resolve_scalar_pair_limit(self.scalar_pair_limit, self.backend)
+        """The cutover in force for the current graph version.
+
+        Resolved once per version rather than per query: the resolution
+        reads the class knob and the environment, which no query changes,
+        while a knob set before the graph is built (or moved between
+        versions) still takes effect.
+        """
+        version = self._graph.version
+        if self._limit_version != version:
+            self._limit = resolve_scalar_pair_limit(
+                self.scalar_pair_limit, self.backend
+            )
+            self._limit_version = version
+        return self._limit
 
     def _compact(self) -> None:
         """Fold overlay and tombstones into a fresh immutable base."""

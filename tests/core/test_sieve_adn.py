@@ -157,3 +157,84 @@ class TestProcessCandidates:
         sieve = SieveADN(k=1, epsilon=0.2, graph=graph)
         sieve.process_candidates([])
         assert sieve.query().value == 0.0
+
+
+class PairwiseSieve(SieveADN):
+    """Reference sieve loop: one oracle call per (threshold, candidate)."""
+
+    def process_candidates(self, candidates):
+        candidates = list(candidates)
+        if not candidates:
+            return
+        singletons = self.oracle.spread_many(
+            [(node,) for node in candidates], self.min_expiry
+        )
+        for singleton in singletons:
+            self.thresholds.update_delta(singleton)
+        for node, upper_bound in zip(candidates, singletons):
+            for threshold, sieve in self.thresholds.items():
+                if threshold > upper_bound:
+                    break
+                if len(sieve) >= self.k or node in sieve:
+                    continue
+                base, with_node = self.oracle.spread_many(
+                    (tuple(sieve.nodes), tuple(sieve.nodes) + (node,)),
+                    self.min_expiry,
+                )
+                sieve.cached_value = float(base)
+                if with_node - base >= threshold:
+                    sieve.add(node)
+                    sieve.cached_value = float(with_node)
+
+
+class TestRowBatching:
+    def stream(self, seed=8, steps=30, num_nodes=24):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(num_nodes)]
+        batches = []
+        for t in range(steps):
+            batch = []
+            for _ in range(rng.randint(1, 4)):
+                u, v = rng.sample(nodes, 2)
+                batch.append(Interaction(u, v, t))
+            batches.append((t, batch))
+        return batches
+
+    def replay(self, cls, record=None):
+        graph = TDNGraph()
+        oracle = InfluenceOracle(graph)
+        if record is not None:
+            evaluate = oracle.spread_many
+
+            def recording(sets, min_expiry=None):
+                sets = list(sets)
+                record.append(sets)
+                return evaluate(sets, min_expiry)
+
+            oracle.spread_many = recording
+        sieve = cls(k=3, epsilon=0.2, graph=graph, oracle=oracle)
+        trace = []
+        for t, batch in self.stream():
+            feed(graph, sieve, t, batch)
+            solution = sieve.query()
+            trace.append((solution.nodes, solution.value, oracle.calls))
+        return trace
+
+    def test_rows_match_the_pairwise_loop(self):
+        """Same solutions, values and oracle calls at every step."""
+        assert self.replay(SieveADN) == self.replay(PairwiseSieve)
+
+    def test_one_oracle_call_per_candidate_row(self):
+        calls = []
+        self.replay(SieveADN, record=calls)
+        rows = [sets for sets in calls if not all(type(s) is tuple for s in sets)]
+        assert rows
+        for sets in rows:
+            # (S_theta, S_theta + {node}) pairs, all for the same node.
+            assert len(sets) % 2 == 0
+            added = {
+                frozenset(with_node) - frozenset(base)
+                for base, with_node in zip(sets[::2], sets[1::2])
+            }
+            assert len(added) == 1 and len(next(iter(added))) == 1
+        assert any(len(sets) > 2 for sets in rows)  # several thresholds per call

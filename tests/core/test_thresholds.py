@@ -32,6 +32,26 @@ class TestSieveSet:
         assert sieve.cached_value == 5.0
         assert dup.nodes == ["a", "b"]
 
+    def test_key_tracks_members_and_is_shared_on_copy(self):
+        sieve = SieveSet()
+        assert sieve.key == frozenset()
+        sieve.add("a")
+        sieve.add("b")
+        assert sieve.key == frozenset({"a", "b"})
+        dup = sieve.copy()
+        assert dup.key is sieve.key  # immutable, so shared, not rebuilt
+        dup.add("c")
+        assert sieve.key == frozenset({"a", "b"})
+        assert dup.key == frozenset({"a", "b", "c"})
+
+    def test_restore_rebuilds_order_and_key(self):
+        sieve = SieveSet.restore(["b", "a"], 4.0)
+        assert sieve.nodes == ["b", "a"]
+        assert sieve.key == frozenset({"a", "b"})
+        assert sieve.cached_value == 4.0
+        with pytest.raises(ValueError):
+            SieveSet.restore(["a", "a"], 0.0)
+
 
 class TestThresholdWindow:
     def test_empty_until_delta(self):
@@ -57,6 +77,46 @@ class TestThresholdWindow:
         grid.update_delta(7.0)
         thresholds = [t for t, _ in grid.items()]
         assert thresholds == sorted(thresholds)
+
+    def test_items_is_the_cached_order_of_the_live_sets(self):
+        grid = ThresholdSet(k=4, epsilon=0.2)
+        grid.update_delta(7.0)
+        order = grid.items()
+        assert order is grid.items()  # no per-call rebuild
+        assert [sieve for _, sieve in order] == [
+            grid._sieves[e] for e in sorted(grid._sieves)
+        ]
+        assert [t for t, _ in order] == [
+            grid.threshold_value(e) for e in sorted(grid._sieves)
+        ]
+        grid.update_delta(70.0)  # re-window: the order follows
+        assert [sieve for _, sieve in grid.items()] == [
+            grid._sieves[e] for e in sorted(grid._sieves)
+        ]
+
+    def test_copy_order_points_at_the_copies(self):
+        grid = ThresholdSet(k=3, epsilon=0.2)
+        grid.update_delta(5.0)
+        dup = grid.copy()
+        assert [t for t, _ in dup.items()] == [t for t, _ in grid.items()]
+        assert [sieve for _, sieve in dup.items()] == [
+            dup._sieves[e] for e in sorted(dup._sieves)
+        ]
+        assert all(
+            mine is not theirs
+            for (_, mine), (_, theirs) in zip(dup.items(), grid.items())
+        )
+
+    def test_restore_rebuilds_the_order(self):
+        grid = ThresholdSet(k=3, epsilon=0.2)
+        grid.update_delta(5.0)
+        exponents = list(grid._sieves)
+        shuffled = {e: SieveSet() for e in reversed(exponents)}
+        restored = ThresholdSet.restore(3, 0.2, grid.delta, shuffled)
+        assert restored.delta == grid.delta
+        assert [t for t, _ in restored.items()] == [t for t, _ in grid.items()]
+        # sets() keeps the given iteration order (the query tie-break).
+        assert list(restored.sets()) == list(shuffled.values())
 
     def test_update_delta_ignores_smaller(self):
         grid = ThresholdSet(k=5, epsilon=0.1)

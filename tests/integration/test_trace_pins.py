@@ -69,7 +69,8 @@ def trace_digest(tracker_name, kind, memo_mode):
         graph.add_batch(batch)
         tracker.on_batch(t, batch)
         solution = tracker.query()
-        line = f"{t}|{','.join(map(str, solution.nodes))}|{solution.value!r}|{oracle.calls}\n"
+        nodes = ",".join(map(str, solution.nodes))
+        line = f"{t}|{nodes}|{solution.value!r}|{oracle.calls}\n"
         digest.update(line.encode())
     return digest.hexdigest()
 

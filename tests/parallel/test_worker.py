@@ -32,6 +32,13 @@ def loop_harness():
         target=worker.worker_main, args=(tasks, results, plane.prefix), daemon=True
     )
     thread.start()
+    # Before serving, the loop announces itself once under the reserved
+    # request id, so the owner can hold dispatch until the pool is up.
+    assert results.get(timeout=10) == (
+        worker.READY_REQUEST_ID,
+        0,
+        ("ready", 0),
+    )
     yield tasks, results, plane
     tasks.put((worker.OP_STOP,))
     thread.join(timeout=10)
@@ -194,6 +201,11 @@ class TestWorkerFaultHooks:
             daemon=True,
         )
         thread.start()
+        assert results.get(timeout=10) == (
+            worker.READY_REQUEST_ID,
+            3,
+            ("ready", 3),
+        )
         return tasks, results, plane, thread
 
     def test_drop_delay_and_attach_fault_sites(self):
