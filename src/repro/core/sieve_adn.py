@@ -147,9 +147,11 @@ class SieveADN:
         spread_many = self.oracle.spread_many
         min_expiry = self.min_expiry
         singletons = spread_many([(node,) for node in candidates], min_expiry)
-        update_delta = self.thresholds.update_delta
-        for singleton in singletons:
-            update_delta(singleton)
+        # One raise to the batch maximum leaves the grid exactly as raising
+        # through every singleton in turn would: windows only slide up, so
+        # a set that survives the final window survived every intermediate
+        # one, and the sets an intermediate window created are still empty.
+        self.thresholds.update_delta(max(singletons))
         # Lines 8-11: sieve each candidate against each threshold.  By
         # submodularity the marginal gain of ``node`` w.r.t. any set is at
         # most its singleton value, so thresholds above it can never be
@@ -218,11 +220,9 @@ class SieveADN:
         paper's complexity accounting (Theorem 8 charges ReduceRedundancy no
         oracle factor).
         """
-        best = 0.0
-        for sieve in self.thresholds.sets():
-            if sieve.cached_value > best:
-                best = sieve.cached_value
-        return best
+        return max(
+            [sieve.cached_value for sieve in self.thresholds.sets()], default=0.0
+        )
 
     # ------------------------------------------------------------------
     def copy(self, min_expiry: Optional[float] = None) -> "SieveADN":

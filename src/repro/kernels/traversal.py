@@ -211,9 +211,9 @@ class TraversalKernel:
         entry_count: adjacency entries the cutover weighs (base pairs
             plus overlay entries); engines refresh it before queries.
         limit_resolver: zero-arg callable returning the scalar/vector
-            cutover in force *now* (re-checked per query so a class-knob
-            monkeypatch takes effect immediately); ``None`` pins the
-            kernel to the vectorized path.
+            cutover in force, called per query (the delta engine's
+            resolver answers from a per-graph-version cache); ``None``
+            pins the kernel to the vectorized path.
         backend: ``"python"`` | ``"native"`` | ``"auto"`` | ``None``
             (= honor ``REPRO_KERNEL_BACKEND``, else auto-probe).  The
             native (numba) fixpoints serve only overlay-free sweeps;

@@ -163,8 +163,9 @@ def resolve_scalar_pair_limit(
     """The active scalar/vector cutover, by descending precedence.
 
     1. ``CSRSnapshot.SCALAR_PAIR_LIMIT`` when not ``None`` — the legacy
-       one-knob class attribute (tests monkeypatch it; both engines and
-       every snapshot obey it immediately);
+       one-knob class attribute (tests monkeypatch it; a snapshot obeys
+       it at its next query, the delta engine from the next graph
+       version it resolves for — so set it before building the graph);
     2. a per-engine constructor ``override``;
     3. the ``REPRO_SCALAR_PAIR_LIMIT`` environment variable;
     4. per resolved kernel ``backend``: under ``"native"`` the cutover is
@@ -218,8 +219,9 @@ class CSRSnapshot:
     #: plain Python loop: per-level numpy dispatch overhead dominates on
     #: tiny graphs, while the vectorized frontier expansion wins by a wide
     #: margin above it.  Tests pin both paths to identical results.  The
-    #: delta engine reads this class attribute too, so one knob (and one
-    #: monkeypatch) governs both engines.  ``None`` (the default) means
+    #: delta engine reads this class attribute too (once per graph
+    #: version), so one knob (and one monkeypatch, made before the graph
+    #: is built) governs both engines.  ``None`` (the default) means
     #: *adaptive*: the cutover is resolved per process through
     #: :func:`resolve_scalar_pair_limit` — constructor override, then the
     #: ``REPRO_SCALAR_PAIR_LIMIT`` environment variable, then a measured
