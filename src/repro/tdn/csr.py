@@ -437,6 +437,8 @@ class DeltaCSR:
         "_tombstones",
         "_fwd",
         "_rev",
+        "_fwd_version",
+        "_rev_version",
         "compactions",
         "version",
         "_limit",
@@ -461,6 +463,8 @@ class DeltaCSR:
         self._limit_version: Optional[int] = None
         self._fwd: Optional[TraversalKernel] = None
         self._rev: Optional[TraversalKernel] = None
+        self._fwd_version: Optional[int] = None
+        self._rev_version: Optional[int] = None
         self._compact()
 
     # ------------------------------------------------------------------
@@ -595,8 +599,18 @@ class DeltaCSR:
         return min_expiry
 
     def _kernel(self, reverse: bool) -> TraversalKernel:
-        """The direction's shared kernel, current as of this call."""
-        kernel = self._rev if reverse else self._fwd
+        """The direction's shared kernel, current as of this call.
+
+        Its entry count and id space change only with the graph, so they
+        are refreshed once per graph version.
+        """
+        version = self._graph.version
+        if reverse:
+            kernel, fresh_at = self._rev, self._rev_version
+        else:
+            kernel, fresh_at = self._fwd, self._fwd_version
+        if kernel is not None and fresh_at == version:
+            return kernel
         if kernel is None:
             if reverse:
                 tindptr, tindices, texpiries = self._transpose_arrays()
@@ -624,6 +638,10 @@ class DeltaCSR:
                 self._fwd = kernel
         kernel.entry_count = self.num_entries
         kernel.ensure_capacity(self.num_nodes)
+        if reverse:
+            self._rev_version = version
+        else:
+            self._fwd_version = version
         return kernel
 
     def kernel_clone(self, reverse: bool = False) -> TraversalKernel:
