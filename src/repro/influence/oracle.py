@@ -723,7 +723,7 @@ class InfluenceOracle:
             if token is None
             else (min_expiry, key_nodes, token)
         )
-        hit = self._memo.data.get(key)
+        hit = self._memo.get(key)
         if hit is not None and hit is not _PENDING:
             _MEMO_HITS.inc()
             return hit

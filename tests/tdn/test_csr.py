@@ -173,6 +173,37 @@ class TestAdaptiveScalarCutover:
         assert lo <= first <= hi
         assert csr_mod.calibrate_scalar_pair_limit() == first  # cached
 
+    def test_delta_engine_resolves_once_per_graph_version(self, monkeypatch):
+        from repro.tdn import csr as csr_mod
+
+        graph = random_graph(random.Random(5), num_nodes=12, num_events=40)
+        engine = graph.csr()
+        resolved = []
+        real = csr_mod.resolve_scalar_pair_limit
+
+        def counting(*args):
+            resolved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(csr_mod, "resolve_scalar_pair_limit", counting)
+        for _ in range(5):
+            engine.reachable_count([0], None)
+            engine.spread_counts([[0], [1]], None)
+        assert len(resolved) == 1
+        graph.add_interaction(Interaction("n0", "n1", graph.time, 5))
+        graph.csr().reachable_count([0], None)
+        assert len(resolved) == 2
+
+    @pytest.mark.parametrize("knob,scalar", [(0, False), (10**9, True)])
+    def test_class_knob_set_before_the_graph_steers_the_delta_engine(
+        self, knob, scalar, monkeypatch
+    ):
+        monkeypatch.setattr(CSRSnapshot, "SCALAR_PAIR_LIMIT", knob)
+        graph = random_graph(random.Random(6), num_nodes=12, num_events=40)
+        engine = graph.csr()
+        assert engine._kernel(False)._use_scalar() is scalar
+        assert engine._kernel(True)._use_scalar() is scalar
+
     def test_engine_override_pins_both_paths(self, rng=None):
         """A per-engine override steers the cutover without the class knob."""
         import random as random_mod
