@@ -60,18 +60,25 @@ behavior for equivalence testing and benchmarking.  Both memo modes
 produce identical spread values and solutions; ``"delta"`` simply spends
 fewer oracle calls when consecutive batches leave most cones untouched.
 
-Bit-plane batching
-------------------
+Batched evaluation and the reach table
+--------------------------------------
 On the CSR backend, :meth:`InfluenceOracle.spread_many` does not issue one
 traversal per set.  It first replays the *sequential* cache protocol —
 walking the batch in order, taking hits, counting one oracle call per miss,
 and reserving each miss's FIFO cache slot — and then evaluates all distinct
-misses through :meth:`DeltaCSR.spread_counts`, which packs up to 64 seed
-sets into uint64 visited-mask planes and propagates them to fixpoint in a
-single shared multi-source sweep.  The *accounting* is therefore exactly
-what ``[self.spread(s) for s in sets]`` would produce — same values, same
-call counts, same cache evictions in the same order — while the *physics*
-costs one multi-BFS per 64 sets.
+misses together.  The *accounting* is therefore exactly what
+``[self.spread(s) for s in sets]`` would produce — same values, same call
+counts, same cache evictions in the same order — whatever the physics.
+
+For the count fold the physics is the memo's **reach table**
+(:meth:`MemoTable.reach_counts`): per horizon, each interned node's reach
+set as an int bitset, so a miss costs the popcount of its members' OR,
+and only members without a stored bitset are walked.  The table is evicted
+by the same dirty cone as the memo and clears with it.  With the table off
+(``max_cache_entries=0``) the misses go through
+:meth:`DeltaCSR.spread_counts`, which packs up to 64 seed sets into uint64
+visited-mask planes and propagates them to fixpoint in a single shared
+multi-source sweep; other folds always take that sweep.
 
 Both backends return identical values and spend identical oracle calls —
 the cross-backend equivalence suite pins this on seeded streams — so the
@@ -86,6 +93,7 @@ Sharded parallel evaluation (``parallel``)
 ------------------------------------------
 ``parallel`` plugs a :class:`~repro.parallel.executor.
 ShardedOracleExecutor` under the CSR backend: batched miss evaluations
+(single-set ones stay on the owner's reach table)
 and the dirty-cone ancestor sweep are partitioned across a persistent
 worker pool that maps the published shared-memory CSR plane, while every
 bit of accounting (cache protocol, call counting, FIFO order) stays in
@@ -101,6 +109,7 @@ never changes results, only wall-clock.
 from __future__ import annotations
 
 from typing import (
+    Dict,
     FrozenSet,
     Hashable,
     Iterable,
@@ -134,6 +143,10 @@ _MEMO_EVICTIONS = metrics_registry().counter(
     metric_names.ORACLE_MEMO_EVICTIONS_TOTAL
 )
 _CONE_SIZE = metrics_registry().histogram(metric_names.ORACLE_CONE_SIZE_NODES)
+_REACH_FILLS = metrics_registry().counter(metric_names.ORACLE_REACH_FILLS_TOTAL)
+_REACH_EVICTIONS = metrics_registry().counter(
+    metric_names.ORACLE_REACH_EVICTIONS_TOTAL
+)
 
 #: Count-semantics cache key.  Non-count semantics append the fold's
 #: hashable token as a third element, so two semantics over one graph can
@@ -307,6 +320,14 @@ class MemoTable:
     instead of disabling memoization outright, and dirty-cone eviction
     (plain deletes) never reorders the survivors.  ``max_entries=0``
     disables the table entirely.
+
+    Next to the memo sits a physical-only **reach table**
+    (:meth:`reach_counts`): per horizon, interned id -> that node's reach
+    set as an int bitset, so a count miss costs the popcount of its
+    members' OR.  It follows the memo's rules exactly — ids in the closed
+    dirty cone are evicted, it clears wherever the memo clears, it is off
+    under ``max_entries=0`` — and is never counted: call accounting and
+    FIFO order belong to the memo alone.
     """
 
     __slots__ = (
@@ -316,6 +337,8 @@ class MemoTable:
         "memo_mode",
         "cone_backend",
         "executor",
+        "reach",
+        "_holders",
         "_index",
         "_version",
         "_cursor",
@@ -344,6 +367,9 @@ class MemoTable:
         self.memo_mode = memo_mode
         self.cone_backend = cone_backend
         self.executor = None  # optional ShardedOracleExecutor (csr cones)
+        #: horizon (``None`` = ``t + 1``) -> {interned id: reach bitset}
+        self.reach: Dict[Optional[float], Dict[int, int]] = {}
+        self._holders: dict = {}  # id -> [horizons whose map holds its bitset]
         self._index: dict = {}  # node -> set of live keys mentioning it
         self._version = graph.version
         self._cursor = graph.dirty_cursor
@@ -404,6 +430,8 @@ class MemoTable:
     def clear(self) -> None:
         self.data.clear()
         self._index.clear()
+        self.reach.clear()
+        self._holders.clear()
 
     def evict_nodes(self, dirty_nodes: Set[Node]) -> int:
         """Evict every entry whose key-set intersects ``dirty_nodes``."""
@@ -445,7 +473,7 @@ class MemoTable:
         if graph.version == self._version:
             return None
         record = None
-        if self.memo_mode == "delta" and (self.data or want_cone):
+        if self.memo_mode == "delta" and (self.data or self.reach or want_cone):
             seeds = graph.dirty_source_ids_since(self._cursor)
             if seeds is None:
                 self.clear()
@@ -455,12 +483,87 @@ class MemoTable:
                 if self.data and cone_ids:
                     node_of_id = graph.node_of_id
                     self.evict_nodes({node_of_id(i) for i in cone_ids})
+                if self.reach:
+                    self._evict_reach(cone_ids)
                 record = DirtyCone(frozenset(seeds), cone_ids)
         else:
             self.clear()
         self._version = graph.version
         self._cursor = graph.dirty_cursor
         return record
+
+    # ------------------------------------------------------------------
+    # Reach table
+    # ------------------------------------------------------------------
+    def reach_counts(
+        self, id_sets: Sequence[Sequence[int]], min_expiry: Optional[float]
+    ) -> List[int]:
+        """``|R(S)|`` per interned id set, answered from reach bitsets.
+
+        Members without a stored bitset are filled first, all of them in
+        one kernel call (:meth:`repro.tdn.csr.DeltaCSR.fill_reach_bits`).
+        A horizon at or below ``t + 1`` filters nothing the clamp does not,
+        so it shares the ``None`` map.  Call after :meth:`sync`.
+        """
+        horizon = min_expiry
+        if horizon is not None and horizon <= self.graph.time + 1:
+            horizon = None
+        bits = self.reach.get(horizon)
+        if bits is None:
+            bits = self.reach[horizon] = {}
+        missing = [
+            node_id for ids in id_sets for node_id in ids if node_id not in bits
+        ]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            try:
+                self.graph.csr().fill_reach_bits(missing, horizon, bits)
+            except BaseException:
+                # An unregistered bitset would escape eviction.
+                for node_id in missing:
+                    bits.pop(node_id, None)
+                raise
+            holders = self._holders
+            for node_id in missing:
+                held = holders.get(node_id)
+                if held is None:
+                    holders[node_id] = [horizon]
+                else:
+                    held.append(horizon)
+            _REACH_FILLS.inc(len(missing))
+        counts = []
+        for ids in id_sets:
+            if len(ids) == 1:
+                counts.append(bits[ids[0]].bit_count())
+                continue
+            union = 0
+            for node_id in ids:
+                union |= bits[node_id]
+            counts.append(union.bit_count())
+        return counts
+
+    def _evict_reach(self, cone_ids: Set[int]) -> None:
+        """Evict the dirty cone's bitsets; drop horizons ``t + 1`` passed."""
+        reach = self.reach
+        holders = self._holders
+        evicted = 0
+        for node_id in cone_ids:
+            held = holders.pop(node_id, None)
+            if held is not None:
+                for horizon in held:
+                    del reach[horizon][node_id]
+                evicted += len(held)
+        floor = self.graph.time + 1
+        for horizon in [h for h in reach if h is not None and h <= floor]:
+            bits = reach.pop(horizon)
+            for node_id in bits:
+                held = holders[node_id]
+                held.remove(horizon)
+                if not held:
+                    del holders[node_id]
+            evicted += len(bits)
+        if evicted:
+            _REACH_EVICTIONS.inc(evicted)
 
     def _closed_cone(self, seed_ids: Set[int]) -> Set[int]:
         """Ancestor closure of the dirty seeds, on the owning backend.
@@ -499,14 +602,16 @@ class InfluenceOracle:
         max_cache_entries: bound on the memo table.  When the table is
             full the *oldest* entry is evicted to admit the new one
             (FIFO), so memoization keeps working through long query-heavy
-            phases instead of silently shutting off.
+            phases instead of silently shutting off.  ``0`` disables the
+            memo and with it the physical reach table.
         backend: ``"csr"`` (compact flat-array engine, default) or
             ``"dict"`` (reference dict-of-dict BFS).
         memo_mode: ``"delta"`` (default) retains memo entries across graph
             versions, evicting only those whose reachable cone the changes
             touched (see the module docstring for the invalidation
             contract); ``"version"`` restores the historical wholesale
-            clear on every ``graph.version`` bump.
+            clear on every ``graph.version`` bump.  The reach table
+            follows the same policy.
         parallel: sharded evaluation over the CSR backend — ``None``
             (serial, default), a worker count (the oracle creates and
             owns a :class:`~repro.parallel.executor.ShardedOracleExecutor`;
@@ -630,7 +735,9 @@ class InfluenceOracle:
         return self._executor.health_report()
 
     # ------------------------------------------------------------------
-    def spread(self, nodes: Iterable[Node], min_expiry: Optional[float] = None):
+    def spread(
+        self, nodes: Iterable[Node], min_expiry: Optional[float] = None
+    ) -> Union[int, float]:
         """Return ``f_t(S)`` under this oracle's semantics.
 
         For the default ``"count"`` fold this is the distinct-node count
@@ -700,7 +807,7 @@ class InfluenceOracle:
         base: Iterable[Node],
         candidate: Node,
         min_expiry: Optional[float] = None,
-    ) -> int:
+    ) -> Union[int, float]:
         """Return ``f_t(base + {candidate}) - f_t(base)``.
 
         The base spread is typically a cache hit (it is re-used across the
@@ -736,23 +843,22 @@ class InfluenceOracle:
     def _evaluate(self, key_nodes: FrozenSet[Node], min_expiry: Optional[float]):
         if self.backend == "dict":
             return len(reachable_set(self.graph, key_nodes, min_expiry))
-        ids, unknown = self.graph.intern_ids(key_nodes)
-        if self._semantics_token is None:
-            if not ids:
-                return unknown
-            return self.graph.csr().reachable_count(ids, min_expiry) + unknown
-        # Unknown (never-interned) seeds reach exactly themselves with no
-        # alive in-edge: every shipped fold scores such a node 1.0, added
-        # after the engine fold exactly as the count path adds them.
-        if not ids:
-            return float(unknown)
-        sums = self.graph.csr().fold_spread_sums([ids], min_expiry, self.fold)
-        return sums[0] + unknown
+        return self._evaluate_batch((key_nodes,), min_expiry, batch=False)[0]
 
     def _evaluate_batch(
-        self, key_sets: Sequence[FrozenSet[Node]], min_expiry: Optional[float]
+        self,
+        key_sets: Sequence[FrozenSet[Node]],
+        min_expiry: Optional[float],
+        batch: bool = True,
     ) -> List:
-        """Evaluate distinct cache misses via the shared bit-plane sweep."""
+        """Evaluate distinct cache misses (CSR backend).
+
+        A ``batch`` (from :meth:`spread_many`) goes to the sharded
+        executor when there is one.  Otherwise count misses are answered
+        from the memo's reach table, or with the table off from the
+        bit-plane sweep (a batch) or one frontier walk (a single set);
+        other folds take the fold sweep.
+        """
         graph = self.graph
         fold_token = self._semantics_token
         values: List = [0] * len(key_sets)
@@ -767,21 +873,30 @@ class InfluenceOracle:
                 id_sets.append(ids)
                 unknowns.append(unknown)
             else:
+                # Unknown (never-interned) seeds reach exactly themselves
+                # with no alive in-edge: every shipped fold scores such a
+                # node 1.0, added after the engine result as for counts.
                 values[j] = unknown if fold_token is None else float(unknown)
-        if id_sets:
-            if fold_token is None:
-                if self._executor is not None:
-                    counts = self._executor.spread_counts(graph, id_sets, min_expiry)
-                else:
-                    counts = graph.csr().spread_counts(id_sets, min_expiry)
-            elif self._executor is not None:
-                counts = self._executor.fold_spread_sums(
+        if not id_sets:
+            return values
+        executor = self._executor if batch else None
+        if fold_token is not None:
+            if executor is not None:
+                counts = executor.fold_spread_sums(
                     graph, id_sets, min_expiry, fold=self.fold
                 )
             else:
                 counts = graph.csr().fold_spread_sums(id_sets, min_expiry, self.fold)
-            for j, count, unknown in zip(pending, counts, unknowns):
-                values[j] = count + unknown
+        elif executor is not None:
+            counts = executor.spread_counts(graph, id_sets, min_expiry)
+        elif self._memo.max_entries:
+            counts = self._memo.reach_counts(id_sets, min_expiry)
+        elif batch:
+            counts = graph.csr().spread_counts(id_sets, min_expiry)
+        else:
+            counts = [graph.csr().reachable_count(id_sets[0], min_expiry)]
+        for j, count, unknown in zip(pending, counts, unknowns):
+            values[j] = count + unknown
         return values
 
     # ------------------------------------------------------------------

@@ -42,7 +42,10 @@ weighted_spread_sums` rides the *same* fixpoint and folds a dense
 float64 node-weight array over each plane's reached ids — 64 weighted
 evaluations per physical traversal, in the canonical ascending-id
 summation order of :func:`dense_weight_sum` so serial, batched and
-sharded weighted values are bit-identical.
+sharded weighted values are bit-identical.  :meth:`~TraversalKernel.
+fill_reach_bits` stores single nodes' reach sets as int bitsets for the
+oracle's reach table: a scalar walk that stops at already-stored nodes,
+or the bit-plane sweep over singleton sets unpacked plane by plane.
 
 Seed validation is unified here: every engine raises the same
 ``IndexError`` message for an out-of-range seed id, on every path
@@ -487,6 +490,128 @@ class TraversalKernel:
                 for plane in range(len(chunk))
             ]
         return results
+
+    def fill_reach_bits(
+        self, node_ids: Sequence[int], eff: Optional[float], bits: Dict[int, int]
+    ) -> None:
+        """Store each node's reach set in ``bits`` as an int bitset.
+
+        After the call, bit ``x`` of ``bits[v]`` is set exactly when ``x``
+        is reachable from ``v`` (``v`` included), for every ``v`` in
+        ``node_ids``.  Entries already in ``bits`` must hold reach sets at
+        this same ``eff``: below the cutover each node is walked alone and
+        the walk stops at any id with a stored bitset, ORing it in (a node
+        reaches everything its successors reach), so a warm table turns a
+        walk into a few unions.  Above the cutover the nodes are filled
+        :data:`PLANE_WIDTH` at a time from one bit-plane sweep each, the
+        same physics as :meth:`spread_counts` over singleton sets (a lone
+        node takes the frontier walk of :meth:`reachable_count` instead).
+        """
+        if self._use_scalar():
+            for node_id in node_ids:
+                bits[node_id] = self._walk_bits(node_id, eff, bits)
+            return
+        for start in range(0, len(node_ids), PLANE_WIDTH):
+            chunk = node_ids[start : start + PLANE_WIDTH]
+            if len(chunk) == 1:
+                bits[chunk[0]] = self._frontier_bits(chunk, eff)
+                continue
+            masks = self._masks_for([(node_id,) for node_id in chunk], eff)
+            sampler = _SWEEP_SAMPLER
+            if sampler is not None:
+                sampler.record(
+                    "reach_bits", len(chunk), int(np.count_nonzero(masks))
+                )
+            # Row p of the transposed bit matrix is plane p's reached-id
+            # bitmap, packed little-endian: byte j bit i is id 8j + i.
+            planes = np.unpackbits(
+                masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                axis=1,
+                count=len(chunk),
+                bitorder="little",
+            )
+            rows = np.packbits(planes.T, axis=1, bitorder="little")
+            for plane, node_id in enumerate(chunk):
+                bits[node_id] = int.from_bytes(rows[plane].tobytes(), "little")
+
+    def _frontier_bits(self, seed_ids: Sequence[int], eff: Optional[float]) -> int:
+        """The reach bitset of ``seed_ids`` from one frontier sweep."""
+        native = self._native_ok()
+        frontier = self._seed_frontier(seed_ids)
+        if native:
+            reached = native_reach(
+                self.indptr, self.indices, self.expiries,
+                frontier, self._visit, self._stamp, eff,
+            )
+        else:
+            reached = np.concatenate([frontier, *self._frontiers(frontier, eff)])
+        sampler = _SWEEP_SAMPLER
+        if sampler is not None:
+            sampler.record("reach_bits", 1, int(reached.size))
+        flags = np.zeros(int(reached.max()) + 1, dtype=bool)
+        flags[reached] = True
+        packed = np.packbits(flags, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
+
+    def _walk_bits(
+        self, node_id: int, eff: Optional[float], bits: Dict[int, int]
+    ) -> int:
+        """One node's reach bitset by plain-Python walk (see
+        :meth:`fill_reach_bits`); the int is built through a bytearray."""
+        indptr, indices, expiries = self._scalar_view()
+        overlay = self.overlay
+        if overlay is None:
+            overlay_entries = None
+        elif type(overlay) is DictOverlay:
+            overlay_entries = overlay.entry_map.get
+        else:
+            overlay_entries = overlay.entries
+        if eff is None:
+            eff = _NO_HORIZON
+        base_nodes = len(indptr) - 1
+        num_nodes = self.num_nodes
+        if node_id < 0 or node_id >= num_nodes:
+            raise seed_range_error(node_id, num_nodes)
+        stored = bits.get
+        joined = 0
+        visited = {node_id}
+        stack = [node_id]
+        while stack:
+            current = stack.pop()
+            if current < base_nodes:
+                for slot in range(indptr[current], indptr[current + 1]):
+                    if expiries[slot] < eff:
+                        continue
+                    successor = indices[slot]
+                    if successor not in visited:
+                        visited.add(successor)
+                        known = stored(successor)
+                        if known is None:
+                            stack.append(successor)
+                        else:
+                            joined |= known
+            if overlay_entries is not None:
+                entries = overlay_entries(current)
+                if entries:
+                    for successor, expiry in entries:
+                        if expiry >= eff and successor not in visited:
+                            visited.add(successor)
+                            known = stored(successor)
+                            if known is None:
+                                stack.append(successor)
+                            else:
+                                joined |= known
+        sampler = _SWEEP_SAMPLER
+        if sampler is not None:
+            sampler.record("reach_bits", 1, len(visited))
+        # Packed byte by byte: ``bits |= 1 << id`` would copy the whole
+        # int per reached id.  Setting bits is order-free, so the set's
+        # iteration order cannot change the result.
+        buffer = bytearray((max(visited) >> 3) + 1)
+        # repro-lint: disable-next=RPL401
+        for reached in visited:
+            buffer[reached >> 3] |= 1 << (reached & 7)
+        return joined | int.from_bytes(buffer, "little")
 
     def weighted_spread_sums(
         self,

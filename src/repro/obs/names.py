@@ -33,6 +33,8 @@ ORACLE_MEMO_HITS_TOTAL = "repro_oracle_memo_hits_total"
 ORACLE_MEMO_MISSES_TOTAL = "repro_oracle_memo_misses_total"
 ORACLE_MEMO_EVICTIONS_TOTAL = "repro_oracle_memo_evictions_total"
 ORACLE_CONE_SIZE_NODES = "repro_oracle_cone_size_nodes"
+ORACLE_REACH_FILLS_TOTAL = "repro_oracle_reach_fills_total"
+ORACLE_REACH_EVICTIONS_TOTAL = "repro_oracle_reach_evictions_total"
 
 # -- sharded executor ---------------------------------------------------
 EXECUTOR_DISPATCHES_TOTAL = "repro_executor_dispatches_total"
@@ -129,6 +131,16 @@ CATALOG: Tuple[MetricSpec, ...] = (
         ORACLE_CONE_SIZE_NODES, "histogram",
         "closed dirty-cone size per delta memo sync",
         SIZE_BUCKETS_NODES,
+    ),
+    MetricSpec(
+        ORACLE_REACH_FILLS_TOTAL, "counter",
+        "per-node reach bitsets built for the oracle's reach table "
+        "(physical work behind count-semantics memo misses)",
+    ),
+    MetricSpec(
+        ORACLE_REACH_EVICTIONS_TOTAL, "counter",
+        "reach bitsets evicted (dirty-cone invalidation plus horizons "
+        "the clock passed)",
     ),
     MetricSpec(
         EXECUTOR_DISPATCHES_TOTAL, "counter",

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -723,6 +723,20 @@ class DeltaCSR:
         """
         eff = self._effective_horizon(min_expiry)
         return self._kernel(False).spread_counts(id_sets, eff)
+
+    def fill_reach_bits(
+        self,
+        node_ids: Sequence[int],
+        min_expiry: Optional[float],
+        bits: Dict[int, int],
+    ) -> None:
+        """Store the reach bitset of every id in ``node_ids`` in ``bits``.
+
+        ``bits`` maps ids to reach sets already known at this horizon;
+        see :meth:`repro.kernels.TraversalKernel.fill_reach_bits`.
+        """
+        eff = self._effective_horizon(min_expiry)
+        self._kernel(False).fill_reach_bits(node_ids, eff, bits)
 
     def weighted_spread_sums(
         self,

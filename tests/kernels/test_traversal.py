@@ -140,6 +140,60 @@ class TestScalarVectorCutover:
             kernel.limit_resolver = None
 
 
+def bit_ids(bits):
+    return {i for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+class TestReachBits:
+    """``fill_reach_bits``: per-node reach sets as int bitsets."""
+
+    def random_kernel(self, num_nodes=40, num_pairs=160, seed=11):
+        rng = np.random.default_rng(seed)
+        sources = np.sort(rng.integers(0, num_nodes, num_pairs))
+        indices = rng.integers(0, num_nodes, num_pairs).astype(np.int64)
+        expiries = rng.uniform(1.0, 20.0, num_pairs)
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=num_nodes), out=indptr[1:])
+        return TraversalKernel(indptr, indices, expiries)
+
+    @pytest.mark.parametrize("limit", [0, 10**9])  # bit-plane, scalar walk
+    def test_bitsets_equal_reachable_ids(self, limit):
+        kernel = self.random_kernel()
+        kernel.limit_resolver = lambda: limit
+        nodes = list(range(40))
+        for eff in (None, 5.0, 15.0):
+            bits = {}
+            kernel.fill_reach_bits(nodes[:1], eff, bits)  # a lone node
+            kernel.fill_reach_bits(nodes[1:], eff, bits)
+            assert sorted(bits) == nodes
+            for node in nodes:
+                assert bit_ids(bits[node]) == kernel.reach_vector([node], eff)
+
+    def test_scalar_walk_joins_stored_bitsets(self):
+        indptr, indices, expiries = chain_arrays(5)
+        kernel = TraversalKernel(
+            indptr, indices, expiries, limit_resolver=lambda: 10**9
+        )
+        # A stored entry is taken as given: the walk stops at id 2 and
+        # ORs its bitset in instead of walking 2 -> 3 -> 4.
+        bits = {2: 1 << 2 | 1 << 30}
+        kernel.fill_reach_bits([0], None, bits)
+        assert bit_ids(bits[0]) == {0, 1, 2, 30}
+
+    def test_large_id_space_and_more_than_one_plane_chunk(self):
+        num_nodes = 20_000
+        indptr, indices, expiries = chain_arrays(num_nodes)
+        nodes = list(range(num_nodes - PLANE_WIDTH - 6, num_nodes))
+        for limit in (0, 10**9):
+            kernel = TraversalKernel(
+                indptr, indices, expiries, limit_resolver=lambda: limit
+            )
+            bits = {}
+            kernel.fill_reach_bits(nodes, 5.0, bits)
+            for node in nodes:
+                assert bit_ids(bits[node]) == set(range(node, num_nodes))
+
+
 class TestUnifiedSeedValidation:
     """Every path raises the one shared out-of-range message."""
 
@@ -164,6 +218,17 @@ class TestUnifiedSeedValidation:
                 call()
             messages.add(str(excinfo.value))
         assert messages == {self.expected(bad, 4)}
+
+    @pytest.mark.parametrize("bad", [-1, 99])
+    @pytest.mark.parametrize("limit", [0, 10**9])
+    def test_reach_bit_fill_agrees(self, bad, limit):
+        indptr, indices, expiries = chain_arrays(4)
+        kernel = TraversalKernel(
+            indptr, indices, expiries, limit_resolver=lambda: limit
+        )
+        with pytest.raises(IndexError) as excinfo:
+            kernel.fill_reach_bits([bad], None, {})
+        assert str(excinfo.value) == self.expected(bad, 4)
 
     def test_valid_seeds_before_the_bad_one_do_not_mask_it(self):
         indptr, indices, expiries = chain_arrays(4)
