@@ -35,7 +35,6 @@ from repro.datasets.synthetic import retweet_stream
 from repro.influence.fast_spread import all_singleton_spreads
 from repro.influence.oracle import InfluenceOracle
 from repro.influence.changed import changed_nodes
-from repro.influence.weighted import WeightedInfluenceOracle
 from repro.kernels import dense_weight_sum, native_available
 from repro.tdn.csr import DeltaCSR
 from repro.tdn.graph import TDNGraph
@@ -463,9 +462,9 @@ def test_weighted_bitplane_vs_per_set_reachable(benchmark):
     evaluated twice: the *per-set* side replicates the pre-kernel weighted
     path — one reachable-id set materialized per candidate, the dense
     weight array summed over it in-process — while the *batched* side is
-    ``WeightedInfluenceOracle.spread_many``, whose distinct misses now
-    fold the weight array inside the shared bit-plane sweep (64 weighted
-    evaluations per physical traversal).  Values must be bit-identical
+    ``InfluenceOracle.spread_many`` under ``weighted_sum``, whose distinct
+    misses fold the weight array inside the shared bit-plane sweep (64
+    weighted evaluations per physical traversal).  Values must be bit-identical
     (the kernel sums in canonical ascending-id order) and call counts
     must match; the 2x floor sits well under the observed margin so a
     noisy runner cannot flip it.
@@ -495,8 +494,11 @@ def test_weighted_bitplane_vs_per_set_reachable(benchmark):
         ]
 
     def batched():
-        oracle = WeightedInfluenceOracle(
-            graph, weights_map, max_cache_entries=0
+        oracle = InfluenceOracle(
+            graph,
+            semantics="weighted_sum",
+            weights=weights_map,
+            max_cache_entries=0,
         )
         return oracle.spread_many(candidate_sets, horizon), oracle.calls
 

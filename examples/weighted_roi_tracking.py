@@ -27,11 +27,9 @@ from repro import (
     save_checkpoint,
 )
 
-# Direct weighted-oracle construction is the power-user path (the facade
-# spelling is open_tracker(semantics=Semantics.WEIGHTED_SUM, weights=...));
-# this example wires it into HistApprox by hand on purpose.
-# repro-lint: disable-next=RPL105
-from repro.influence.weighted import WeightedInfluenceOracle
+# Direct oracle construction is the power-user path (the facade spelling
+# is open_tracker(semantics=Semantics.WEIGHTED_SUM, weights=...)); this
+# example wires a weighted oracle into HistApprox by hand on purpose.
 
 K = 5
 PREMIUM_WEIGHT = 20.0
@@ -49,9 +47,10 @@ def main() -> None:
         K,
         0.2,
         graph_weighted,
-        WeightedInfluenceOracle(
+        InfluenceOracle(
             graph_weighted,
-            lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
+            semantics="weighted_sum",
+            weights=lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
         ),
     )
     plain_history, weighted_history = SolutionHistory(), SolutionHistory()
@@ -105,9 +104,10 @@ def main() -> None:
     restored = algorithm_from_dict(
         algorithm_to_dict(weighted),
         restored_graph,
-        WeightedInfluenceOracle(
+        InfluenceOracle(
             restored_graph,
-            lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
+            semantics="weighted_sum",
+            weights=lambda node: PREMIUM_WEIGHT if node in premium else 1.0,
         ),
     )
     print(

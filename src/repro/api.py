@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from repro.core.tracker import InfluenceTracker, Solution
+from repro.core.tracker import InfluenceTracker, Solution, _default_semantics
 from repro.errors import (
     ConfigError,
     DegradedExecutionError,
@@ -40,12 +40,11 @@ from repro.errors import (
     ReproError,
     SemanticsError,
 )
-from repro.influence.weighted import WeightedInfluenceOracle
+from repro.influence.oracle import InfluenceOracle
 from repro.kernels import (
     Fold,
     disable_kernel_metrics,
     enable_kernel_metrics,
-    resolve_fold,
 )
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
@@ -116,11 +115,12 @@ def open_tracker(
         semantics_params: fold parameters (e.g. ``{"alpha": 0.8}``) when
             ``semantics`` is given by name; rejected if ``semantics``
             already carries parameters.
-        weights: node weights (mapping or callable) for
+        weights: node weights (mapping, callable, or ``None`` for
+            ``default_weight`` everywhere) for
             :data:`Semantics.WEIGHTED_SUM` — the one semantics whose
-            per-node state cannot ride in a fold parameter, so it is
-            served by a :class:`WeightedInfluenceOracle` injected into
-            the tracker.  Only valid with ``weighted_sum``.
+            per-node state cannot ride in a fold parameter.  Only valid
+            with ``weighted_sum``; see
+            :class:`~repro.influence.oracle.InfluenceOracle`.
         default_weight: weight for nodes missing from ``weights``.
         lifetime_policy, L, changed_mode, refine_head, seed, workers,
             graph: forwarded to :class:`InfluenceTracker` (see its docs).
@@ -138,34 +138,15 @@ def open_tracker(
                 f"got semantics={semantics!r}"
             )
         name = (name, dict(semantics_params))
-    if _is_weighted(name):
-        if graph is None:
-            graph = TDNGraph()
-        oracle = WeightedInfluenceOracle(
-            graph,
-            weights,
-            default_weight=default_weight,
-            parallel=workers if workers > 1 else None,
-        )
-        return InfluenceTracker(
-            algorithm,
-            k=k,
-            epsilon=epsilon,
-            lifetime_policy=lifetime_policy,
-            L=L,
-            changed_mode=changed_mode,
-            refine_head=refine_head,
-            seed=seed,
-            graph=graph,
-            oracle=oracle,
-        )
-    if weights is not None:
-        raise ConfigError(
-            "weights are only meaningful with semantics='weighted_sum'; "
-            f"got semantics={semantics!r}"
-        )
-    if name is not None:
-        resolve_fold(name)  # fail fast at the facade on unknown semantics
+    if graph is None:
+        graph = TDNGraph()
+    oracle = InfluenceOracle(
+        graph,
+        parallel=workers if workers > 1 else None,
+        semantics=_default_semantics(algorithm) if name is None else name,
+        weights=weights,
+        default_weight=default_weight,
+    )
     return InfluenceTracker(
         algorithm,
         k=k,
@@ -176,18 +157,5 @@ def open_tracker(
         refine_head=refine_head,
         seed=seed,
         graph=graph,
-        workers=workers,
-        semantics=name,
-    )
-
-
-def _is_weighted(name) -> bool:
-    if isinstance(name, Fold):
-        return name.name == Semantics.WEIGHTED_SUM.value
-    if name == Semantics.WEIGHTED_SUM.value:
-        return True
-    return (
-        isinstance(name, tuple)
-        and len(name) == 2
-        and name[0] == Semantics.WEIGHTED_SUM.value
+        oracle=oracle,
     )

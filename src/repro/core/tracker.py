@@ -104,11 +104,12 @@ class InfluenceTracker:
             plain ``count`` for everything else.
         oracle: a prebuilt oracle to drive evaluations (must be bound to
             the ``graph`` argument, which then becomes mandatory).  This
-            is how weighted spread enters the facade: construct a
-            :class:`~repro.influence.weighted.WeightedInfluenceOracle` on
-            a shared graph and inject it; ``semantics``/``workers`` are
-            then the oracle's business and must be left at their
-            defaults.
+            is how :func:`repro.api.open_tracker` wires every tracker, and
+            how node weights enter: construct an
+            :class:`~repro.influence.oracle.InfluenceOracle` with
+            ``semantics="weighted_sum"`` and ``weights=`` on a shared
+            graph and inject it; ``semantics``/``workers`` are then the
+            oracle's business and must be left at their defaults.
 
     Example:
         >>> from repro.tdn.lifetimes import GeometricLifetime

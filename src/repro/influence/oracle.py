@@ -12,7 +12,10 @@ gateway through which all algorithms evaluate spreads:
   the set's reachable cone) costs one call, mirroring how any sensible
   implementation caches ``f(S)`` when computing marginal gains;
 * it accepts a ``min_expiry`` horizon so each SIEVEADN instance evaluates on
-  its own addition-only subgraph while sharing the one TDN.
+  its own addition-only subgraph while sharing the one TDN;
+* it evaluates every registered fold semantics (``semantics=``), the
+  node-weighted ``weighted_sum`` included (:class:`NodeWeights`), through
+  the same memo, replay protocol and executor path.
 
 Backends
 --------
@@ -108,12 +111,16 @@ never changes results, only wall-clock.
 
 from __future__ import annotations
 
+import secrets
+import weakref
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -122,16 +129,18 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.errors import ConfigError, SemanticsError
 from repro.influence.reachability import ancestors, reachable_set
-from repro.kernels import Fold, resolve_fold
+from repro.kernels import resolve_fold
 from repro.obs import names as metric_names
 from repro.obs.registry import metrics_registry
 from repro.tdn.graph import TDNGraph
 from repro.utils.counters import CallCounter
-from repro.utils.deprecation import warn_once
 
 Node = Hashable
+WeightSpec = Union[Mapping[Node, float], Callable[[Node], float]]
 
 # Instruments bound once at import (the registry pre-registers the whole
 # catalog, so these lookups cannot miss).  The oracle records into the
@@ -172,13 +181,11 @@ def replay_batch_protocol(
 ):
     """The sequential-replay cache protocol behind batched ``spread_many``.
 
-    Shared by :class:`InfluenceOracle` and :class:`~repro.influence.
-    weighted.WeightedInfluenceOracle` so the two can never drift: walk
-    the batch in submission order taking hits, count one oracle call per
-    miss, reserve each miss's FIFO cache slot with ``_PENDING`` (so
-    in-batch duplicates replay as the cache hits they would sequentially
-    be), then evaluate the distinct misses together through ``evaluate``
-    and fulfill the reservations.  Values, call counts and eviction order
+    Walk the batch in submission order taking hits, count one oracle
+    call per miss, reserve each miss's FIFO cache slot with ``_PENDING``
+    (so in-batch duplicates replay as the cache hits they would
+    sequentially be), then evaluate the distinct misses together through
+    ``evaluate`` and fulfill the reservations.  Values, call counts and eviction order
     are exactly those of ``[spread(s) for s in sets]``.
 
     Every set is frozen *before* the first cache mutation (a frozenset,
@@ -308,12 +315,11 @@ class DirtyCone(NamedTuple):
 class MemoTable:
     """FIFO-bounded memo table with delta-aware dirty-cone invalidation.
 
-    One instance backs each oracle (shared by :class:`InfluenceOracle` and
-    :class:`~repro.influence.weighted.WeightedInfluenceOracle`, so the two
-    cache policies can never drift apart).  The table tracks, per key, the
-    nodes the key mentions (an inverted index), which makes evicting every
-    entry that intersects a dirty-node set proportional to the entries
-    actually evicted rather than to the table size.
+    One instance backs each oracle, whatever its semantics.  The table
+    tracks, per key, the nodes the key mentions (an inverted index), which
+    makes evicting every entry that intersects a dirty-node set
+    proportional to the entries actually evicted rather than to the table
+    size.
 
     Dicts preserve insertion order, so the first key is always the oldest
     memo; evicting it under capacity pressure keeps recent spreads hot
@@ -590,6 +596,128 @@ class MemoTable:
         return graph.csr().touched_cone_ids(seed_ids)
 
 
+def _release_published_weights(executor_ref, weights_key: str) -> None:
+    """GC/close hook: drop one oracle's weight segment from its executor."""
+    executor = executor_ref()
+    if executor is not None:
+        try:
+            executor.release_weights(weights_key)
+        except Exception:  # pragma: no cover - teardown is best effort
+            pass
+
+
+class NodeWeights:
+    """The node weights ``w`` of a ``weighted_sum`` oracle.
+
+    ``f_t(S)`` is the total weight of the nodes ``S`` reaches: with
+    non-negative weights a weighted coverage function, so normalized,
+    monotone and submodular, and every guarantee of the paper carries
+    over.  ``weights`` is a mapping node -> weight, a callable, or
+    ``None``; nodes a mapping does not cover (and every node under
+    ``None``) weigh ``default``.
+
+    Mapping and default weights are total and pure, so the engine folds
+    them as a dense per-interned-id array (:meth:`upto`), grown lazily as
+    nodes are interned — ids are append-only, so a prefix never goes
+    stale.  A weight *callable* may be partial or stateful, so it is never
+    pre-evaluated: it is invoked in-process, only for reached nodes, in
+    ascending-id order (:meth:`reached_sum`).  Every float fold runs in
+    that canonical order, which keeps values bit-identical across
+    backends, batch shapes, shards and ``PYTHONHASHSEED`` values.
+    """
+
+    def __init__(
+        self, graph: TDNGraph, weights: Optional[WeightSpec], default: float
+    ) -> None:
+        if default < 0:
+            raise ConfigError(f"default_weight must be >= 0, got {default}")
+        self.graph = graph
+        self.default = float(default)
+        #: No mapping at all: a reached set scores ``default * count``
+        #: (never a dense float sum, which rounds differently).
+        self.uniform = weights is None
+        #: Mapping or default weights: foldable as a dense array.
+        self.dense = weights is None or not callable(weights)
+        self._array = np.empty(0, dtype=np.float64)
+        default_value = self.default
+        self._weight_of: Callable[[Node], float]
+        if weights is None:
+            self._weight_of = lambda node: default_value
+        elif callable(weights):
+            self._weight_of = weights
+        else:
+            mapping = dict(weights)
+            for node, weight in mapping.items():
+                if weight < 0:
+                    raise ConfigError(
+                        f"weight for {node!r} is negative ({weight}); weighted "
+                        "spread requires non-negative weights to stay monotone"
+                    )
+            self._weight_of = lambda node: mapping.get(node, default_value)
+
+    def checked(self, node: Node) -> float:
+        """The weight of one node, refusing negative callable results."""
+        weight = self._weight_of(node)
+        if weight < 0:
+            raise ConfigError(f"weight callable returned negative value for {node!r}")
+        return weight
+
+    def order_key(self, node: Node) -> Tuple[int, object]:
+        """Total order for folding float weights over node sets.
+
+        Interned nodes sort by id (ascending — the canonical summation
+        order of :func:`repro.kernels.dense_weight_sum`), never-interned
+        nodes after them by ``repr``.
+        """
+        interned = self.graph.node_id(node)
+        if interned is None:
+            return (1, repr(node))
+        return (0, interned)
+
+    def node_sum(self, nodes: Iterable[Node]) -> float:
+        """Total weight of a reached node set (the dict reference fold)."""
+        value = 0.0
+        for node in sorted(nodes, key=self.order_key):
+            value += self.checked(node)
+        return value
+
+    def split_seeds(self, key_nodes: FrozenSet[Node]) -> Tuple[List[int], float]:
+        """Interned seed ids plus the weight of never-interned seeds.
+
+        A never-interned seed has no edges and reaches only itself, so it
+        contributes its own weight directly, folded in canonical order.
+        """
+        node_id = self.graph.node_id
+        ids: List[int] = []
+        value = 0.0
+        for node in sorted(key_nodes, key=self.order_key):
+            interned = node_id(node)
+            if interned is None:
+                value += self.checked(node)
+            else:
+                ids.append(interned)
+        return ids, value
+
+    def reached_sum(self, reached: Set[int]) -> float:
+        """Total callable weight of a reached id set, in ascending-id order."""
+        node_of_id = self.graph.node_of_id
+        return sum(
+            self.checked(node_of_id(reached_id)) for reached_id in sorted(reached)
+        )
+
+    def upto(self, count: int) -> np.ndarray:
+        """The dense id-indexed weight array, extended to ``count`` entries."""
+        have = self._array.shape[0]
+        if have < count:
+            node_of_id = self.graph.node_of_id
+            fresh = np.asarray(
+                [self.checked(node_of_id(i)) for i in range(have, count)],
+                dtype=np.float64,
+            )
+            self._array = np.concatenate([self._array, fresh])
+        return self._array
+
+
 class InfluenceOracle:
     """Evaluates the paper's influence spread with counting and caching.
 
@@ -626,43 +754,39 @@ class InfluenceOracle:
             ``"time_decay"`` evaluate through the fold seam (CSR backend
             only) with memo keys carrying the fold token, so two
             semantics sharing one graph never share cache entries.
-            ``"weighted_sum"`` is rejected here — its per-node weights
-            live on :class:`~repro.influence.weighted.
-            WeightedInfluenceOracle`.
+            ``"weighted_sum"`` scores the total weight of the reached
+            nodes (see :class:`NodeWeights`) on either backend.
+        weights: ``weighted_sum`` only — a mapping node -> weight, a
+            callable, or ``None`` (every node weighs ``default_weight``).
+            Weights must be non-negative.  Under ``parallel`` a dense
+            weight array is published into shared memory once per growth
+            of the interned node set and workers fold it in their
+            bit-plane sweeps; a callable never crosses a process boundary
+            (workers return reached id sets instead).
+        default_weight: ``weighted_sum`` only — the weight of nodes
+            ``weights`` does not cover (1.0 recovers ``|R(S)|`` as a
+            float).
+
+    Raises:
+        ConfigError: an invalid backend, memo mode, cache bound or weight,
+            or ``weights``/``default_weight`` with another semantics.
+        SemanticsError: an unknown semantics, or a fold other than
+            ``count``/``weighted_sum`` on the ``"dict"`` backend.
     """
 
     def __init__(
         self,
         graph: TDNGraph,
         counter: Optional[CallCounter] = None,
-        *deprecated_positional,
+        *,
         max_cache_entries: int = 200_000,
         backend: str = "csr",
         memo_mode: str = "delta",
         parallel=None,
         semantics="count",
+        weights: Optional[WeightSpec] = None,
+        default_weight: float = 1.0,
     ) -> None:
-        if deprecated_positional:
-            # Historical spelling: config passed positionally after the
-            # counter.  Kept working for one release; the keyword form is
-            # the supported API.
-            warn_once(
-                "oracle-positional-config",
-                "passing max_cache_entries/backend/memo_mode to "
-                "InfluenceOracle positionally is deprecated; pass them as "
-                "keywords (or use repro.api.open_tracker)",
-            )
-            names = ("max_cache_entries", "backend", "memo_mode")
-            if len(deprecated_positional) > len(names):
-                raise ConfigError(
-                    "InfluenceOracle takes at most graph, counter, "
-                    f"{', '.join(names)} positionally; "
-                    f"got {len(deprecated_positional) + 2} arguments"
-                )
-            values = dict(zip(names, deprecated_positional))
-            max_cache_entries = values.get("max_cache_entries", max_cache_entries)
-            backend = values.get("backend", backend)
-            memo_mode = values.get("memo_mode", memo_mode)
         if backend not in ORACLE_BACKENDS:
             raise ConfigError(
                 f"backend must be one of {ORACLE_BACKENDS}, got {backend!r}"
@@ -670,13 +794,15 @@ class InfluenceOracle:
         if max_cache_entries < 0:
             raise ConfigError(f"max_cache_entries must be >= 0, got {max_cache_entries}")
         fold = resolve_fold(semantics)
-        if fold.name == "weighted_sum":
-            raise SemanticsError(
-                "semantics 'weighted_sum' carries per-node weights; "
-                "construct a WeightedInfluenceOracle (or use "
-                "repro.api.open_tracker with Semantics.WEIGHTED_SUM) instead"
+        self._weights: Optional[NodeWeights] = None
+        if fold.needs_weights:
+            self._weights = NodeWeights(graph, weights, default_weight)
+        elif weights is not None or default_weight != 1.0:
+            raise ConfigError(
+                "weights are only meaningful with semantics='weighted_sum'; "
+                f"got semantics={fold.name!r}"
             )
-        if fold.name != "count" and backend != "csr":
+        elif fold.name != "count" and backend != "csr":
             raise SemanticsError(
                 f"semantics {fold.name!r} requires backend='csr', got {backend!r}"
             )
@@ -692,6 +818,11 @@ class InfluenceOracle:
             graph, max_cache_entries, memo_mode, cone_backend=backend
         )
         self._memo.executor = self._executor
+        # Stable per-oracle token for the executor's shared-memory weight
+        # segment (the dense array is append-only, so its length is its
+        # epoch — the executor republishes only when it grew).
+        self._weights_key = f"w{secrets.token_hex(4)}"
+        self._weights_finalizer: Optional[weakref.finalize] = None
 
     @property
     def semantics(self) -> str:
@@ -719,9 +850,34 @@ class InfluenceOracle:
         return self._executor.workers if self._executor is not None else 1
 
     def close(self) -> None:
-        """Release the worker pool if this oracle owns one (idempotent)."""
+        """Release the worker pool if this oracle owns one (idempotent),
+        and this oracle's published weight segment either way."""
+        if self._weights_finalizer is not None:
+            self._weights_finalizer()
         if self._owns_executor and self._executor is not None:
             self._executor.close()
+
+    def _arm_weights_finalizer(self) -> None:
+        """(Re-)register the weight-segment release hook.
+
+        Releases this oracle's published weight segment when the oracle
+        is closed or collected, so a shared long-lived executor never
+        accumulates one O(V) segment per short-lived oracle.  Re-armed
+        before every parallel publication because ``weakref.finalize`` is
+        one-shot: an oracle used again after :meth:`close` republishes,
+        and that republication must stay collectable too.  The finalizer
+        holds only a weak executor reference — it must neither keep the
+        pool alive nor resurrect this oracle.
+        """
+        finalizer = self._weights_finalizer
+        if finalizer is not None and finalizer.alive:
+            return
+        self._weights_finalizer = weakref.finalize(
+            self,
+            _release_published_weights,
+            weakref.ref(self._executor),
+            self._weights_key,
+        )
 
     def health_report(self) -> Optional[dict]:
         """The sharded executor's degradation/health snapshot.
@@ -784,12 +940,13 @@ class InfluenceOracle:
         sweep through the oracle cheap.
         """
         self._memo.sync()
+        zero = 0 if self._semantics_token is None else 0.0
         if self.backend == "dict":
-            reference: List[int] = []
+            reference: List[Union[int, float]] = []
             for nodes in sets:
                 key_nodes = frozenset(nodes)
                 reference.append(
-                    self._spread_cached(key_nodes, min_expiry) if key_nodes else 0
+                    self._spread_cached(key_nodes, min_expiry) if key_nodes else zero
                 )
             return reference
         return replay_batch_protocol(
@@ -798,7 +955,7 @@ class InfluenceOracle:
             sets,
             min_expiry,
             self._evaluate_batch,
-            0 if self._semantics_token is None else 0.0,
+            zero,
             semantics=self._semantics_token,
         )
 
@@ -817,7 +974,7 @@ class InfluenceOracle:
         base_set = frozenset(base)
         with_candidate = base_set | {candidate}
         if len(with_candidate) == len(base_set):
-            return 0
+            return 0 if self._semantics_token is None else 0.0
         return self.spread(with_candidate, min_expiry) - self.spread(
             base_set, min_expiry
         )
@@ -842,7 +999,10 @@ class InfluenceOracle:
 
     def _evaluate(self, key_nodes: FrozenSet[Node], min_expiry: Optional[float]):
         if self.backend == "dict":
-            return len(reachable_set(self.graph, key_nodes, min_expiry))
+            reached = reachable_set(self.graph, key_nodes, min_expiry)
+            if self._weights is None:
+                return len(reached)
+            return self._weights.node_sum(reached)
         return self._evaluate_batch((key_nodes,), min_expiry, batch=False)[0]
 
     def _evaluate_batch(
@@ -857,10 +1017,13 @@ class InfluenceOracle:
         executor when there is one.  Otherwise count misses are answered
         from the memo's reach table, or with the table off from the
         bit-plane sweep (a batch) or one frontier walk (a single set);
-        other folds take the fold sweep.
+        other folds take the fold sweep, ``weighted_sum`` through
+        :meth:`_evaluate_weighted`.
         """
         graph = self.graph
         fold_token = self._semantics_token
+        if fold_token is not None and self._weights is not None:
+            return self._evaluate_weighted(key_sets, min_expiry, batch)
         values: List = [0] * len(key_sets)
         id_sets: List[List[int]] = []
         unknowns: List[int] = []
@@ -897,6 +1060,71 @@ class InfluenceOracle:
             counts = [graph.csr().reachable_count(id_sets[0], min_expiry)]
         for j, count, unknown in zip(pending, counts, unknowns):
             values[j] = count + unknown
+        return values
+
+    def _evaluate_weighted(
+        self,
+        key_sets: Sequence[FrozenSet[Node]],
+        min_expiry: Optional[float],
+        batch: bool,
+    ) -> List[float]:
+        """Evaluate distinct ``weighted_sum`` misses (CSR backend).
+
+        Mapping weights fold the dense weight array into the bit-plane
+        sweep (under ``parallel``, over the executor's published weight
+        segment), 64 weighted evaluations per physical traversal.  Uniform
+        weights ride the plain counted sweep (``default * count``), and a
+        weight callable takes per-set reached id sets so it is only ever
+        invoked in-process, for reached nodes.
+        """
+        weights = self._weights
+        assert weights is not None
+        values: List[float] = [0.0] * len(key_sets)
+        id_sets: List[List[int]] = []
+        pending: List[int] = []
+        for j, key_nodes in enumerate(key_sets):
+            ids, values[j] = weights.split_seeds(key_nodes)
+            if ids:
+                pending.append(j)
+                id_sets.append(ids)
+        if not id_sets:
+            return values
+        graph = self.graph
+        executor = self._executor if batch else None
+        sums: Sequence[float]
+        if not weights.dense:
+            if executor is not None:
+                reached_sets = executor.reachable_ids_many(graph, id_sets, min_expiry)
+            else:
+                engine = graph.csr()
+                reached_sets = [
+                    engine.reachable_ids(ids, min_expiry) for ids in id_sets
+                ]
+            sums = [weights.reached_sum(reached) for reached in reached_sets]
+        elif weights.uniform:
+            if executor is not None:
+                counts = executor.spread_counts(graph, id_sets, min_expiry)
+            else:
+                counts = graph.csr().spread_counts(id_sets, min_expiry)
+            sums = [weights.default * count for count in counts]
+        else:
+            array = weights.upto(graph.num_interned)
+            if executor is not None:
+                self._arm_weights_finalizer()
+                sums = executor.fold_spread_sums(
+                    graph,
+                    id_sets,
+                    min_expiry,
+                    fold=self.fold,
+                    weights=array,
+                    weights_key=self._weights_key,
+                )
+            else:
+                sums = graph.csr().fold_spread_sums(
+                    id_sets, min_expiry, self.fold, array
+                )
+        for j, value in zip(pending, sums):
+            values[j] += value
         return values
 
     # ------------------------------------------------------------------

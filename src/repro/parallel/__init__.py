@@ -13,8 +13,8 @@ service** applies interaction batches with backpressure, journaled writer
 recovery and staleness-flagged top-k serving against the last consistent
 epoch (:mod:`repro.parallel.service`).
 
-Everything is wired in through ``InfluenceOracle(parallel=...)`` /
-``WeightedInfluenceOracle(parallel=...)`` — SieveADN, BasicReduction and
+Everything is wired in through ``InfluenceOracle(parallel=...)``, under
+every semantics ``weighted_sum`` included — SieveADN, BasicReduction and
 HistApprox inherit the parallel substrate untouched, and the sharded
 engine is bit-for-bit equivalent to the serial one (same solutions, same
 spread values, same oracle-call counts; pinned by the equivalence suite

@@ -1,13 +1,13 @@
 """Sharded oracle executor: a supervised worker pool over the CSR plane.
 
 :class:`ShardedOracleExecutor` partitions the oracle's batched sweeps —
-``spread_many`` bit-plane batches, the weighted oracle's 64-wide weighted
-bit-plane sums (dense weights ride a published shared-memory weight
-array; weight *callables* stay in-process via per-set reachable-id
-evaluations), and the ``ancestor_ids`` / ``touched_cone_ids`` reverse
-sweeps behind memo eviction — across a pool of long-lived worker
-processes that all map the same shared-memory CSR plane
-(:mod:`repro.parallel.plane`).
+``spread_many`` bit-plane batches, fold sweeps under every registered
+semantics (``weighted_sum`` node weights ride a published shared-memory
+weight array; weight *callables* stay in-process via per-set
+reachable-id evaluations), and the ``ancestor_ids`` /
+``touched_cone_ids`` reverse sweeps behind memo eviction — across a pool
+of long-lived worker processes that all map the same shared-memory CSR
+plane (:mod:`repro.parallel.plane`).
 
 Correctness contract
 --------------------
@@ -1041,86 +1041,17 @@ class ShardedOracleExecutor:
     def release_weights(self, weights_key: str) -> None:
         """Unlink the weight segment published under ``weights_key``.
 
-        Called by a :class:`~repro.influence.weighted.
-        WeightedInfluenceOracle` when it is closed or collected, so a
-        long-lived shared executor serving many short-lived weighted
-        oracles does not accumulate one O(V) segment per oracle until
-        teardown.  Safe to call for keys never published (no-op); a
-        worker still holding the stale mapping keeps it valid until it
-        re-attaches, exactly as with superseded plane generations.
+        Called by a ``weighted_sum`` :class:`~repro.influence.oracle.
+        InfluenceOracle` when it is closed or collected, so a long-lived
+        shared executor serving many short-lived weighted oracles does not
+        accumulate one O(V) segment per oracle until teardown.  Safe to
+        call for keys never published (no-op); a worker still holding the
+        stale mapping keeps it valid until it re-attaches, exactly as with
+        superseded plane generations.
         """
         record = self._weights.pop(weights_key, None)
         if record is not None:
             record.close()
-
-    def weighted_spread_sums(
-        self,
-        graph: "TDNGraph",
-        id_sets: Sequence[Sequence[int]],
-        min_expiry: Optional[float] = None,
-        *,
-        weights: "np.ndarray",
-        weights_key: str,
-    ) -> List[float]:
-        """Per-set reached-weight sums; sharded when profitable, exact always.
-
-        ``weights`` is the oracle's dense id-indexed float64 array and
-        ``weights_key`` a stable per-oracle token; the array is published
-        into shared memory once per weights epoch (see
-        :meth:`_ensure_weights`) and workers fold it over their shard's
-        bit-plane sweeps, returning 64-wide weight sums — per-set float
-        lists — instead of whole reachable-id sets.  The kernel's
-        canonical ascending-id summation makes shard results bit-identical
-        to the serial engine's.
-        """
-        if not id_sets:
-            return []
-        if self._threads_ready(len(id_sets)):
-            # Threads read the owner's dense array directly — no shared
-            # memory publish, so the weights-disabled latch never applies.
-            eff = self._effective_horizon(graph, min_expiry)
-            slices = shard_slices(len(id_sets), self.workers)
-            clones = self._thread_kernels(graph, reverse=False)
-            results = self._dispatch_threads(
-                len(slices),
-                lambda i: clones[i].weighted_spread_sums(
-                    list(id_sets[slices[i][0] : slices[i][1]]), eff, weights
-                ),
-                lambda i: graph.csr().weighted_spread_sums(
-                    list(id_sets[slices[i][0] : slices[i][1]]),
-                    min_expiry,
-                    weights,
-                ),
-            )
-            return merge_shard_counts(slices, results, len(id_sets))
-        if self._parallel_ready(graph, len(id_sets)):
-            record = self._ensure_weights(weights_key, weights)
-            if record is not None:
-                eff = self._effective_horizon(graph, min_expiry)
-                slices = shard_slices(len(id_sets), self.workers)
-                shards = [
-                    (
-                        (
-                            list(id_sets[start:stop]),
-                            weights_key,
-                            record.name,
-                            record.length,
-                        ),
-                        eff,
-                    )
-                    for start, stop in slices
-                ]
-                results = self._dispatch(
-                    worker_mod.OP_WSPREAD,
-                    shards,
-                    lambda i: graph.csr().weighted_spread_sums(
-                        list(id_sets[slices[i][0] : slices[i][1]]),
-                        min_expiry,
-                        weights,
-                    ),
-                )
-                return merge_shard_counts(slices, results, len(id_sets))
-        return graph.csr().weighted_spread_sums(id_sets, min_expiry, weights)
 
     def fold_spread_sums(
         self,
@@ -1129,6 +1060,8 @@ class ShardedOracleExecutor:
         min_expiry: Optional[float] = None,
         *,
         fold: Fold,
+        weights: Optional["np.ndarray"] = None,
+        weights_key: Optional[str] = None,
     ) -> List[float]:
         """Per-set fold scores; sharded when profitable, exact always.
 
@@ -1139,9 +1072,14 @@ class ShardedOracleExecutor:
         node values (``time_decay``) are recomputed worker-side from the
         mapped plane arrays; the derivation is elementwise over the same
         float64 inputs the serial engine sees, which keeps sharded fold
-        scores bit-identical to serial ones.  Weight-carrying folds
-        (``weighted_sum``) stay on :meth:`weighted_spread_sums` — this
-        path never ships dense arrays through the task queue.
+        scores bit-identical to serial ones.
+
+        A weight-carrying fold (``weighted_sum``) takes its node values
+        as ``weights``, the oracle's dense id-indexed float64 array, with
+        ``weights_key`` a stable per-oracle token.  Thread workers read
+        the array directly; for process workers it is published into
+        shared memory once per weights epoch (see :meth:`_ensure_weights`)
+        and tasks carry only the segment name, never the array.
         """
         fold = resolve_fold(fold)
         if not id_sets:
@@ -1150,11 +1088,13 @@ class ShardedOracleExecutor:
             # Derived node values (time_decay) are computed once,
             # owner-side, from the same engine every clone shares — the
             # elementwise derivation process workers repeat per shard.
+            # Threads read caller weights directly — no shared memory
+            # publish, so the weights-disabled latch never applies.
             eff = self._effective_horizon(graph, min_expiry)
             node_values = (
                 graph.csr().fold_node_values(fold, min_expiry)
                 if fold.derives_node_values
-                else None
+                else weights
             )
             slices = shard_slices(len(id_sets), self.workers)
             clones = self._thread_kernels(graph, reverse=False)
@@ -1170,28 +1110,37 @@ class ShardedOracleExecutor:
                     list(id_sets[slices[i][0] : slices[i][1]]),
                     min_expiry,
                     fold,
+                    weights,
                 ),
             )
             return merge_shard_counts(slices, results, len(id_sets))
         if self._parallel_ready(graph, len(id_sets)):
-            eff = self._effective_horizon(graph, min_expiry)
-            slices = shard_slices(len(id_sets), self.workers)
-            spec = fold.spec()
-            shards = [
-                ((list(id_sets[start:stop]), spec), eff)
-                for start, stop in slices
-            ]
-            results = self._dispatch(
-                worker_mod.OP_FSPREAD,
-                shards,
-                lambda i: graph.csr().fold_spread_sums(
-                    list(id_sets[slices[i][0] : slices[i][1]]),
-                    min_expiry,
-                    fold,
-                ),
-            )
-            return merge_shard_counts(slices, results, len(id_sets))
-        return graph.csr().fold_spread_sums(id_sets, min_expiry, fold)
+            weights_ref: Optional[Tuple[str, str, int]] = None
+            if weights is not None and weights_key is not None:
+                record = self._ensure_weights(weights_key, weights)
+                if record is not None:
+                    weights_ref = (weights_key, record.name, record.length)
+            # Weights that could not be published evaluate serially below.
+            if weights is None or weights_ref is not None:
+                eff = self._effective_horizon(graph, min_expiry)
+                slices = shard_slices(len(id_sets), self.workers)
+                spec = fold.spec()
+                shards = [
+                    ((list(id_sets[start:stop]), spec, weights_ref), eff)
+                    for start, stop in slices
+                ]
+                results = self._dispatch(
+                    worker_mod.OP_FSPREAD,
+                    shards,
+                    lambda i: graph.csr().fold_spread_sums(
+                        list(id_sets[slices[i][0] : slices[i][1]]),
+                        min_expiry,
+                        fold,
+                        weights,
+                    ),
+                )
+                return merge_shard_counts(slices, results, len(id_sets))
+        return graph.csr().fold_spread_sums(id_sets, min_expiry, fold, weights)
 
     def ancestor_ids(
         self,

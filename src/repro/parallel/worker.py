@@ -47,7 +47,6 @@ __all__ = ["worker_main"]
 OP_SPREAD = "spread"
 OP_REACH = "reach"
 OP_ANCESTORS = "ancestors"
-OP_WSPREAD = "wspread"
 OP_FSPREAD = "fspread"
 OP_PING = "ping"
 OP_STOP = "stop"
@@ -70,10 +69,11 @@ def worker_main(
     Args:
         task_queue: multiprocessing queue of task tuples
             ``(op, request_id, shard_index, generation, payload, eff)``.
-            For :data:`OP_WSPREAD` the payload is ``(id_sets, weights_key,
-            weights_name, weights_len)``; for :data:`OP_FSPREAD` it is
-            ``(id_sets, fold_spec)`` with the fold's ``(name, params)``
-            wire form; for the other sweeps it is the id list(s) directly.
+            For :data:`OP_FSPREAD` the payload is ``(id_sets, fold_spec,
+            weights_ref)`` with the fold's ``(name, params)`` wire form and
+            ``weights_ref`` either ``None`` or the published weight
+            segment as ``(weights_key, weights_name, weights_len)``; for
+            the other sweeps it is the id list(s) directly.
         result_queue: queue of ``(request_id, shard_index, outcome)``
             tuples where ``outcome`` is ``("started", worker_index)``
             (claim ack), ``("ok", value)`` or ``("error", message)``;
@@ -200,13 +200,12 @@ def _run(
         return [sorted(engine.reachable_ids(ids, eff)) for ids in payload]
     if op == OP_ANCESTORS:
         return sorted(engine.ancestor_ids(payload, eff))
-    if op == OP_WSPREAD:
-        id_sets, weights_key, weights_name, weights_len = payload
-        weights = weights_for(weights_key, weights_name, weights_len)
-        return engine.weighted_spread_sums(id_sets, eff, weights)
     if op == OP_FSPREAD:
         from repro.kernels.folds import resolve_fold
 
-        id_sets, fold_spec = payload
-        return engine.fold_spread_sums(id_sets, eff, resolve_fold(fold_spec))
+        id_sets, fold_spec, weights_ref = payload
+        weights = None if weights_ref is None else weights_for(*weights_ref)
+        return engine.fold_spread_sums(
+            id_sets, eff, resolve_fold(fold_spec), weights
+        )
     raise ValueError(f"unknown worker op {op!r}")

@@ -53,6 +53,7 @@ from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.core.thresholds import SieveSet, ThresholdSet
 from repro.influence.oracle import InfluenceOracle
+from repro.kernels import resolve_fold
 from repro.tdn.graph import INFINITE_EXPIRY, TDNGraph
 from repro.tdn.interaction import Interaction
 
@@ -154,10 +155,20 @@ def oracle_from_dict(payload: Optional[Dict], graph: TDNGraph) -> InfluenceOracl
     semantics were serialized default to ``"count"`` (the only semantics
     that existed then); a serialized name the registry does not know
     raises :class:`~repro.errors.SemanticsError` rather than silently
-    resuming under different influence arithmetic.
+    resuming under different influence arithmetic.  Node weights are not
+    stored, so a ``weighted_sum`` payload raises
+    :class:`~repro.errors.PersistenceError`: restore it by passing a
+    weighted oracle to :func:`algorithm_from_dict`.
     """
     if not payload:
         return InfluenceOracle(graph)
+    fold = resolve_fold(payload.get("semantics", "count"))
+    if fold.needs_weights:
+        raise PersistenceError(
+            f"the checkpoint was taken under semantics {fold.name!r}, but "
+            "node weights are not stored in checkpoints; pass an oracle "
+            "built with the same weights to algorithm_from_dict"
+        )
     workers = payload.get("workers", 1)
     return InfluenceOracle(
         graph,
@@ -165,7 +176,7 @@ def oracle_from_dict(payload: Optional[Dict], graph: TDNGraph) -> InfluenceOracl
         memo_mode=payload.get("memo_mode", "delta"),
         max_cache_entries=payload.get("max_cache_entries", 200_000),
         parallel=workers if workers and workers > 1 else None,
-        semantics=payload.get("semantics", "count"),
+        semantics=fold,
     )
 
 

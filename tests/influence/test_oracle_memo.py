@@ -28,7 +28,6 @@ from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.influence.changed import changed_nodes
 from repro.influence.oracle import MEMO_MODES, InfluenceOracle, MemoTable
-from repro.influence.weighted import WeightedInfluenceOracle
 from repro.tdn.graph import TDNGraph
 from repro.tdn.interaction import Interaction
 from repro.tdn.stream import MemoryStream
@@ -49,7 +48,7 @@ class TestMemoModeConfig:
         with pytest.raises(ValueError, match="memo_mode"):
             InfluenceOracle(TDNGraph(), memo_mode="eager")
         with pytest.raises(ValueError, match="memo_mode"):
-            WeightedInfluenceOracle(TDNGraph(), memo_mode="eager")
+            InfluenceOracle(TDNGraph(), semantics="weighted_sum", memo_mode="eager")
 
     def test_modes_exposed(self):
         assert MEMO_MODES == ("delta", "version")
@@ -142,7 +141,7 @@ class TestDeltaRetention:
 
     def test_weighted_oracle_retains_untouched_cone(self):
         graph = two_island_graph()
-        oracle = WeightedInfluenceOracle(graph, {"c": 10.0})
+        oracle = InfluenceOracle(graph, semantics="weighted_sum", weights={"c": 10.0})
         assert oracle.spread(["a"]) == 12.0
         assert oracle.spread(["x"]) == 2.0
         graph.add_interaction(Interaction("x", "z", 0, 50))

@@ -7,6 +7,9 @@ in which order sets are evaluated, how the memo is consulted) would move
 both backends together and pass unnoticed.  This suite pins the exact
 per-step ``(nodes, value, oracle_calls)`` trajectory of every tracker
 on two seeded streams, under both memo modes, as SHA-256 digests.
+Weighted spread is pinned too: SIEVEADN and HISTAPPROX on the decaying
+stream under fractional mapping weights, a weight callable, and the
+uniform ``default_weight`` path, all built through the public facade.
 
 The digests were recorded before the sieve's per-candidate row batching
 landed and must stay bit-identical.  To print the current digests (for
@@ -29,6 +32,7 @@ from repro import (
     MemoryStream,
     SieveADN,
     TDNGraph,
+    open_tracker,
 )
 
 K = 4
@@ -113,11 +117,71 @@ PINS = {
 }
 
 
+#: Weightings of the weighted pins: ``(weights, default_weight)``.
+WEIGHTINGS = {
+    "mapping": ({f"n{i}": 0.1 + 0.35 * (i % 5) for i in range(0, 40, 2)}, 1.0),
+    "callable": (lambda node: 0.25 + 0.5 * (int(node[1:]) % 3), 1.0),
+    "default": (None, 0.1),
+}
+
+
+def weighted_trace_digest(algorithm, weighting):
+    """Like :func:`trace_digest`, for a weighted-spread facade tracker."""
+    weights, default_weight = WEIGHTINGS[weighting]
+    tracker = open_tracker(
+        algorithm,
+        k=K,
+        epsilon=EPSILON,
+        semantics="weighted_sum",
+        weights=weights,
+        default_weight=default_weight,
+    )
+    digest = hashlib.sha256()
+    for t, batch in MemoryStream(stream_events("decaying"), fill_gaps=True):
+        solution = tracker.step(t, batch)
+        nodes = ",".join(map(str, solution.nodes))
+        line = f"{t}|{nodes}|{solution.value!r}|{tracker.oracle_calls}\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+# (algorithm, weighting) -> digest, on the decaying stream.
+WEIGHTED_PINS = {
+    ("hist_approx", "callable"): (
+        "3d8101a8f855ad8324ddc1c833f98f4cbe0d6c17ec9ec581bb184f341a8836a2"
+    ),
+    ("hist_approx", "default"): (
+        "bc51d78ea5e37844804e3a9119e67bb359908adb08677a53eb1e1e558b8fa88c"
+    ),
+    ("hist_approx", "mapping"): (
+        "e0427dc44c2245242b6ea4d770f3b8aeea43bfcf393eb414696d3820b134322a"
+    ),
+    ("sieve_adn", "callable"): (
+        "07ad300a6f6f01eea43241183cdad9f75fc2cfa342a47915f92af80ebc52a3f5"
+    ),
+    ("sieve_adn", "default"): (
+        "e455dd65622a33a769465c6231788a379abed4a81aadc68e25733ae38693e8fa"
+    ),
+    ("sieve_adn", "mapping"): (
+        "8fde8b5462f372274209fe45df5e8ae256a1a7b84adc1ecd48bb54d553b0fe28"
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(PINS), ids="-".join)
 def test_trace_matches_pin(case):
     assert trace_digest(*case) == PINS[case]
 
 
+@pytest.mark.parametrize("case", sorted(WEIGHTED_PINS), ids="-".join)
+def test_weighted_trace_matches_pin(case):
+    assert weighted_trace_digest(*case) == WEIGHTED_PINS[case]
+
+
 if __name__ == "__main__":
     for case in sorted(PINS):
         print(f"    {case!r}: {trace_digest(*case)!r},")
+    for algorithm in ("hist_approx", "sieve_adn"):
+        for weighting in sorted(WEIGHTINGS):
+            case = (algorithm, weighting)
+            print(f"    {case!r}: {weighted_trace_digest(*case)!r},")

@@ -24,7 +24,7 @@ from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
 from repro.influence.oracle import InfluenceOracle
-from repro.influence.weighted import WeightedInfluenceOracle
+from repro.kernels import WeightedSumFold
 from repro.parallel.executor import ShardedOracleExecutor
 from repro.parallel.plane import shared_memory_available
 from repro.tdn.graph import TDNGraph
@@ -138,9 +138,13 @@ def test_weighted_oracle_bit_identical_under_sharding(spec, executor):
         return trace
 
     weights = WEIGHT_SPECS[spec]()
-    serial_trace = run(lambda g: WeightedInfluenceOracle(g, weights))
+    serial_trace = run(
+        lambda g: InfluenceOracle(g, semantics="weighted_sum", weights=weights)
+    )
     sharded_trace = run(
-        lambda g: WeightedInfluenceOracle(g, weights, parallel=executor)
+        lambda g: InfluenceOracle(
+            g, semantics="weighted_sum", weights=weights, parallel=executor
+        )
     )
     assert sharded_trace == serial_trace
     # The parity must come from the pool actually answering, not from a
@@ -168,7 +172,9 @@ def test_weighted_spread_many_matches_spread_loop(spec, executor):
     assert len(sets) > 64
 
     def make(**kwargs):
-        return WeightedInfluenceOracle(graph, WEIGHT_SPECS[spec](), **kwargs)
+        return InfluenceOracle(
+            graph, semantics="weighted_sum", weights=WEIGHT_SPECS[spec](), **kwargs
+        )
 
     loop = make()
     loop_values = [loop.spread(s) for s in sets]
@@ -194,8 +200,13 @@ def test_sharded_weighted_sums_are_worker_computed(executor):
     weights = np.asarray([1.0 + (i % 6) * 0.25 for i in ids], dtype=np.float64)
     id_sets = [[i] for i in ids] + [ids[:4], []]
     serial_sums = graph.csr().weighted_spread_sums(id_sets, None, weights)
-    sharded_sums = executor.weighted_spread_sums(
-        graph, id_sets, None, weights=weights, weights_key="wtest"
+    sharded_sums = executor.fold_spread_sums(
+        graph,
+        id_sets,
+        None,
+        fold=WeightedSumFold(),
+        weights=weights,
+        weights_key="wtest",
     )
     assert sharded_sums == serial_sums
     assert executor.degraded is None and executor.pool_running
@@ -204,8 +215,13 @@ def test_sharded_weighted_sums_are_worker_computed(executor):
     # weighted request simply republishes.
     executor.release_weights("wtest")
     executor.release_weights("wtest")
-    again = executor.weighted_spread_sums(
-        graph, id_sets, None, weights=weights, weights_key="wtest"
+    again = executor.fold_spread_sums(
+        graph,
+        id_sets,
+        None,
+        fold=WeightedSumFold(),
+        weights=weights,
+        weights_key="wtest",
     )
     assert again == serial_sums
     assert executor.degraded is None
@@ -224,7 +240,9 @@ def test_closed_weighted_oracle_releases_its_weight_segment(executor):
     nodes = sorted(graph.node_set(), key=repr)
     weights = {n: float(2 + i % 3) for i, n in enumerate(nodes)}
 
-    oracle = WeightedInfluenceOracle(graph, weights, parallel=executor)
+    oracle = InfluenceOracle(
+        graph, semantics="weighted_sum", weights=weights, parallel=executor
+    )
     oracle.spread_many([(n,) for n in nodes])
     key = oracle._weights_key  # noqa: SLF001 - registry probe
     assert key in executor._weights  # noqa: SLF001
@@ -234,7 +252,9 @@ def test_closed_weighted_oracle_releases_its_weight_segment(executor):
 
     import gc
 
-    oracle = WeightedInfluenceOracle(graph, weights, parallel=executor)
+    oracle = InfluenceOracle(
+        graph, semantics="weighted_sum", weights=weights, parallel=executor
+    )
     oracle.spread_many([(n,) for n in nodes])
     key = oracle._weights_key  # noqa: SLF001
     assert key in executor._weights  # noqa: SLF001
@@ -245,15 +265,19 @@ def test_closed_weighted_oracle_releases_its_weight_segment(executor):
     # An oracle used again after close() republishes — and the re-armed
     # release hook must still fire on collection.  max_cache_entries=0
     # forces real evaluations, so the post-close batch must republish.
-    oracle = WeightedInfluenceOracle(
-        graph, weights, parallel=executor, max_cache_entries=0
+    oracle = InfluenceOracle(
+        graph,
+        semantics="weighted_sum",
+        weights=weights,
+        parallel=executor,
+        max_cache_entries=0,
     )
     oracle.spread_many([(n,) for n in nodes])
     oracle.close()
     key = oracle._weights_key  # noqa: SLF001
     assert key not in executor._weights  # noqa: SLF001
     reuse_values = oracle.spread_many([(n,) for n in nodes[:12]])
-    serial = WeightedInfluenceOracle(graph, weights)
+    serial = InfluenceOracle(graph, semantics="weighted_sum", weights=weights)
     assert reuse_values == serial.spread_many([(n,) for n in nodes[:12]])
     assert key in executor._weights  # noqa: SLF001
     del oracle

@@ -113,8 +113,12 @@ class TestSerialEquivalence:
             [rng.random() for _ in range(graph.num_interned)], dtype=np.float64
         )
         sets = [[i] for i in range(graph.num_interned)]
-        assert threaded.weighted_spread_sums(
-            graph, sets, weights=weights, weights_key="w"
+        assert threaded.fold_spread_sums(
+            graph,
+            sets,
+            fold=resolve_fold("weighted_sum"),
+            weights=weights,
+            weights_key="w",
         ) == serial.weighted_spread_sums(sets, None, weights)
 
     @pytest.mark.parametrize("fold_name", ["count", "hop_discount", "time_decay"])

@@ -107,9 +107,10 @@ class TestWorkerLoop:
         assert set(ancestors) == serial.ancestor_ids(ids[:5], None)
 
     def test_weighted_op_folds_published_weights(self, loop_harness):
-        """OP_WSPREAD maps the published weight segment and returns the
-        serial engine's exact 64-wide weight sums, re-attaching when the
-        owner republishes a longer array under the same key."""
+        """OP_FSPREAD under ``weighted_sum`` maps the published weight
+        segment and returns the serial engine's exact 64-wide weight sums,
+        re-attaching when the owner republishes a longer array under the
+        same key."""
         import numpy as np
 
         from repro.parallel.plane import SharedWeights
@@ -125,8 +126,12 @@ class TestWorkerLoop:
         weights = np.asarray([1.0 + (i % 5) for i in ids], dtype=np.float64)
         published = SharedWeights(f"{plane.prefix}-wk-{len(ids)}", weights)
         try:
-            payload = (sets, "wk", published.name, published.length)
-            tasks.put((worker.OP_WSPREAD, 5, 2, generation, payload, eff))
+            payload = (
+                sets,
+                ("weighted_sum", {}),
+                ("wk", published.name, published.length),
+            )
+            tasks.put((worker.OP_FSPREAD, 5, 2, generation, payload, eff))
             request, shard, (status, sums) = get_reply(results)
             assert (request, shard, status) == (5, 2, "ok")
             assert sums == serial.weighted_spread_sums(sets, None, weights)
@@ -136,8 +141,12 @@ class TestWorkerLoop:
             rescaled = weights * 2.0
             longer = SharedWeights(f"{plane.prefix}-wk-{len(ids)}b", rescaled)
             try:
-                payload = (sets, "wk", longer.name, longer.length)
-                tasks.put((worker.OP_WSPREAD, 6, 0, generation, payload, eff))
+                payload = (
+                    sets,
+                    ("weighted_sum", {}),
+                    ("wk", longer.name, longer.length),
+                )
+                tasks.put((worker.OP_FSPREAD, 6, 0, generation, payload, eff))
                 _, _, (status, sums) = get_reply(results)
                 assert status == "ok"
                 assert sums == serial.weighted_spread_sums(sets, None, rescaled)

@@ -3,11 +3,13 @@
 ``repro.api`` (re-exported from the bare ``repro`` package) is the one
 surface covered by the compatibility promise, so these tests pin its
 routing: algorithm + semantics names resolve to correctly configured
-trackers, the weighted path injects a :class:`WeightedInfluenceOracle`,
+trackers, the weighted path configures a ``weighted_sum`` oracle,
 inconsistent combinations fail fast with the facade's own exception
 types, and the exception hierarchy keeps its dual stdlib parentage so
 pre-hierarchy ``except ValueError`` callers never break.
 """
+
+import warnings
 
 import pytest
 
@@ -72,7 +74,7 @@ class TestOpenTracker:
 
 class TestWeightedPath:
     def test_weighted_sum_injects_a_weighted_oracle(self):
-        from repro.influence.weighted import WeightedInfluenceOracle
+        from repro.influence.oracle import InfluenceOracle
 
         tracker = open_tracker(
             "hist-approx",
@@ -80,7 +82,8 @@ class TestWeightedPath:
             semantics=Semantics.WEIGHTED_SUM,
             weights={"vip": 10.0},
         )
-        assert isinstance(tracker.oracle, WeightedInfluenceOracle)
+        assert isinstance(tracker.oracle, InfluenceOracle)
+        assert tracker.oracle.semantics == "weighted_sum"
         solution = tracker.step(0, [("a", "vip"), ("b", "c")])
         # Reaching the weighted node dominates the plain pair.
         assert "a" in solution.nodes
@@ -97,6 +100,21 @@ class TestWeightedPath:
             open_tracker(semantics=Semantics.COUNT, weights={"a": 2.0})
         with pytest.raises(ConfigError, match="only meaningful"):
             open_tracker(weights={"a": 2.0})
+
+
+class TestPackageSurface:
+    def test_unknown_attributes_raise(self):
+        with pytest.raises(AttributeError):
+            repro.NoSuchThing
+        with pytest.raises(AttributeError):
+            repro.WeightedInfluenceOracle
+        assert "WeightedInfluenceOracle" not in repro.__all__
+
+    def test_keyword_oracle_config_never_warns(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            repro.InfluenceOracle(repro.TDNGraph(), max_cache_entries=1000)
+        assert [w for w in caught if w.category is DeprecationWarning] == []
 
 
 class TestErrorHierarchy:

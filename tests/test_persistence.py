@@ -9,9 +9,11 @@ import random
 
 import pytest
 
+from repro.api import open_tracker
 from repro.core.basic_reduction import BasicReduction
 from repro.core.hist_approx import HistApprox
 from repro.core.sieve_adn import SieveADN
+from repro.errors import PersistenceError
 from repro.influence.oracle import InfluenceOracle
 from repro.persistence import (
     algorithm_from_dict,
@@ -243,6 +245,43 @@ class TestOracleConfigRoundTrip:
         assert all(
             inst.oracle is restored.oracle for inst in restored._instances.values()
         )
+
+
+class TestWeightedRoundTrip:
+    """A weighted tracker must never come back as a count tracker."""
+
+    @staticmethod
+    def weighted_tracker():
+        tracker = open_tracker(
+            "sieve-adn",
+            k=2,
+            epsilon=0.2,
+            semantics="weighted_sum",
+            weights={"a": 100.0},
+        )
+        for t in range(3):
+            tracker.step(t, [("a", f"b{t}")])
+        assert tracker.oracle.spread(["a"]) == 103.0
+        return tracker
+
+    def test_checkpoint_without_weights_refuses_to_restore(self, tmp_path):
+        tracker = self.weighted_tracker()
+        path = tmp_path / "weighted.json"
+        save_checkpoint(path, tracker.graph, tracker.algorithm)
+        with pytest.raises(PersistenceError, match="weights are not stored"):
+            load_checkpoint(path)
+
+    def test_resupplied_weights_restore_the_weighted_tracker(self):
+        tracker = self.weighted_tracker()
+        payload = algorithm_to_dict(tracker.algorithm)
+        assert payload["oracle"]["semantics"] == ["weighted_sum", {}]
+        restored_graph = graph_from_dict(graph_to_dict(tracker.graph))
+        oracle = InfluenceOracle(
+            restored_graph, semantics="weighted_sum", weights={"a": 100.0}
+        )
+        restored = algorithm_from_dict(payload, restored_graph, oracle)
+        assert restored.oracle.spread(["a"]) == 103.0
+        assert restored.query() == tracker.query()
 
 
 class TestErrorHandling:
